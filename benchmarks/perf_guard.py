@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -417,17 +418,22 @@ def _bench_stream_reassembly() -> tuple:
     return batch, 220, "segments", 1
 
 
-def _link_forward_bench(impaired: bool) -> tuple:
+def _link_forward_bench(impaired: bool, instrumented: bool = False) -> tuple:
     """Hop-by-hop forwarding throughput across one link.
 
     The lossless variant is the engine fast path (shared clean fate, no
     per-packet allocation); the impaired variant pays the full pipeline
-    (burst-loss state machine, jitter draw, duplication)."""
-    sim = Simulator(seed=3)
-    net = Network(sim)
-    a = net.add(Host("a", "10.0.0.1"))
-    b = net.add(Host("b", "10.0.0.2"))
-    link = net.connect(a, b)
+    (burst-loss state machine, jitter draw, duplication).  The
+    instrumented variant builds the network with a metrics registry
+    installed, as every campaign point does."""
+    from repro.obs import MetricsRegistry, use_registry
+
+    with use_registry(MetricsRegistry()) if instrumented else nullcontext():
+        sim = Simulator(seed=3)
+        net = Network(sim)
+        a = net.add(Host("a", "10.0.0.1"))
+        b = net.add(Host("b", "10.0.0.2"))
+        link = net.connect(a, b)
     if impaired:
         link.impair(
             burst_loss_profile(
@@ -454,6 +460,10 @@ def _bench_link_forward_lossless() -> tuple:
 
 def _bench_link_forward_impaired() -> tuple:
     return _link_forward_bench(impaired=True)
+
+
+def _bench_link_forward_impaired_instrumented() -> tuple:
+    return _link_forward_bench(impaired=True, instrumented=True)
 
 
 def _sweep_grid16_spec():
@@ -703,6 +713,7 @@ HOT_PATHS = {
     "simulator_events": _bench_simulator_events,
     "link_forward_lossless": _bench_link_forward_lossless,
     "link_forward_impaired": _bench_link_forward_impaired,
+    "link_forward_impaired_instrumented": _bench_link_forward_impaired_instrumented,
     "sweep_serial_grid16": _bench_sweep_serial_grid16,
     "sweep_workers4_grid16": _bench_sweep_workers4_grid16,
     "sweep_stealing_grid16": _bench_sweep_stealing_grid16,

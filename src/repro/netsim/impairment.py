@@ -31,10 +31,13 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "Decision",
+    "NO_EFFECT",
+    "DROP",
+    "ONE_EXTRA_COPY",
     "PacketFate",
     "ImpairmentModel",
     "IndependentLoss",
@@ -64,13 +67,23 @@ def mix_seed(*parts: int) -> int:
     return state
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decision:
-    """One model's ruling on one packet."""
+    """One model's ruling on one packet.
+
+    Frozen, so the common rulings can be shared: models return
+    :data:`NO_EFFECT`, :data:`DROP` and :data:`ONE_EXTRA_COPY` instead of
+    allocating a decision per packet.
+    """
 
     drop: bool = False
     extra_delay: float = 0.0
     extra_copies: int = 0
+
+
+NO_EFFECT = Decision()
+DROP = Decision(drop=True)
+ONE_EXTRA_COPY = Decision(extra_copies=1)
 
 
 class PacketFate:
@@ -135,7 +148,9 @@ class IndependentLoss(ImpairmentModel):
         self.rate = rate
 
     def decide(self, size: int, now: float, rng: random.Random) -> Decision:
-        return Decision(drop=self.rate > 0.0 and rng.random() < self.rate)
+        if self.rate > 0.0 and rng.random() < self.rate:
+            return DROP
+        return NO_EFFECT
 
     def __repr__(self) -> str:
         return f"IndependentLoss({self.rate})"
@@ -257,7 +272,7 @@ class GilbertElliottLoss(ImpairmentModel):
                 self._in_burst = False
         elif rng.random() < self.p_enter_burst:
             self._in_burst = True
-        return Decision(drop=drop)
+        return DROP if drop else NO_EFFECT
 
     def __repr__(self) -> str:
         return (
@@ -276,7 +291,7 @@ class LatencyJitter(ImpairmentModel):
 
     def decide(self, size: int, now: float, rng: random.Random) -> Decision:
         if self.max_jitter == 0.0:
-            return Decision()
+            return NO_EFFECT
         return Decision(extra_delay=rng.uniform(0.0, self.max_jitter))
 
     def __repr__(self) -> str:
@@ -307,7 +322,7 @@ class Reordering(ImpairmentModel):
     def decide(self, size: int, now: float, rng: random.Random) -> Decision:
         if self.probability and rng.random() < self.probability:
             return Decision(extra_delay=rng.uniform(*self.delay_range))
-        return Decision()
+        return NO_EFFECT
 
     def __repr__(self) -> str:
         return f"Reordering(p={self.probability}, range={self.delay_range})"
@@ -326,8 +341,8 @@ class Duplication(ImpairmentModel):
 
     def decide(self, size: int, now: float, rng: random.Random) -> Decision:
         if self.probability and rng.random() < self.probability:
-            return Decision(extra_copies=1)
-        return Decision()
+            return ONE_EXTRA_COPY
+        return NO_EFFECT
 
     def __repr__(self) -> str:
         return f"Duplication(p={self.probability})"
@@ -356,7 +371,7 @@ class BandwidthLimit(ImpairmentModel):
     def decide(self, size: int, now: float, rng: random.Random) -> Decision:
         backlog_bytes = max(0.0, self._busy_until - now) * self.bytes_per_sec
         if backlog_bytes + size > self.max_queue_bytes:
-            return Decision(drop=True)
+            return DROP
         start = max(now, self._busy_until)
         self._busy_until = start + size / self.bytes_per_sec
         return Decision(extra_delay=self._busy_until - now)
@@ -380,26 +395,22 @@ class ImpairedPath:
     ) -> None:
         self.models: List[ImpairmentModel] = list(models)
         self.rng = rng if rng is not None else random.Random(seed)
-        #: Class name of the model that dropped the most recent packet
-        #: (``None`` if the last packet survived) — the link reads this
-        #: to label drop-reason counters without threading a return
-        #: channel through every model.
+        #: Class name of the model that dropped the most recently dropped
+        #: packet (``None`` before the first drop) — the link reads it
+        #: right after a :data:`DROPPED` fate to tally the drop reason
+        #: without threading a return channel through every model.
         self.last_drop_reason: Optional[str] = None
-        #: Cumulative drops per model class name.
-        self.drop_counts: Dict[str, int] = {}
 
     def traverse(self, size: int, now: float) -> PacketFate:
         """Rule on one packet; returns its fate (drop / delays per copy)."""
-        self.last_drop_reason = None
         total_delay = 0.0
         extra_copies = 0
         copy_spacing = 0.0
+        rng = self.rng
         for model in self.models:
-            decision = model.decide(size, now, self.rng)
+            decision = model.decide(size, now, rng)
             if decision.drop:
-                reason = type(model).__name__
-                self.last_drop_reason = reason
-                self.drop_counts[reason] = self.drop_counts.get(reason, 0) + 1
+                self.last_drop_reason = type(model).__name__
                 return DROPPED
             total_delay += decision.extra_delay
             if decision.extra_copies:

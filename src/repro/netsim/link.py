@@ -6,12 +6,18 @@ direction therefore owns its own impairment pipeline (seeded RNG stream
 included) and its own statistics, so analyses can report uplink and
 downlink loss separately and tests can assert packet conservation
 (offered = delivered − duplicated-extra + lost) per direction.
+
+Those statistics, plus a per-direction drop-reason tally, are the only
+per-packet accounting.  With a metrics registry installed, the
+``link_*_total`` counters are read from them whenever the registry
+flushes (:class:`_LinkCounters`).
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence
+import weakref
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..obs.metrics import active_or_none
 from .impairment import (
@@ -79,6 +85,92 @@ class DirectionStats:
         )
 
 
+class _LinkCounters:
+    """Reads one link's ledger into the registry's ``link_*_total`` counters.
+
+    The link keeps only its :class:`DirectionStats` and drop-reason
+    tallies; at every registry flush :meth:`fold` adds what changed since
+    the previous fold.  A label row appears when its count first moves,
+    as it would had every packet been counted into the registry, so the
+    registry agrees with ``DirectionStats`` by construction.  This object
+    holds the ledger, not the link, so it can still fold after the link
+    is collected.
+    """
+
+    def __init__(
+        self,
+        registry,
+        name: str,
+        stats: Dict[str, DirectionStats],
+        drops: Dict[str, Dict[str, int]],
+    ) -> None:
+        self.offered = registry.counter(
+            "link_packets_offered_total",
+            "Transmission attempts entering a link direction",
+            ("link", "direction"),
+        )
+        self.carried = registry.counter(
+            "link_packets_carried_total",
+            "Delivered copies (duplicates included) per link direction",
+            ("link", "direction"),
+        )
+        self.dropped = registry.counter(
+            "link_packets_dropped_total",
+            "Drops per link direction, labeled by the impairment that "
+            "dropped (or legacy_loss for the flat loss knob)",
+            ("link", "direction", "reason"),
+        )
+        self.duplicated = registry.counter(
+            "link_packets_duplicated_total",
+            "Extra delivered copies per link direction",
+            ("link", "direction"),
+        )
+        self.bytes = registry.counter(
+            "link_bytes_carried_total",
+            "Bytes delivered per link direction (duplicates included)",
+            ("link", "direction"),
+        )
+        self.name = name
+        self.stats = stats
+        self.drops = drops
+        #: direction -> (offered, carried, duplicated, bytes) at the last fold
+        self.folded: Dict[str, Tuple[int, int, int, int]] = {
+            direction: (0, 0, 0, 0) for direction in DIRECTIONS
+        }
+        self.folded_drops: Dict[str, Dict[str, int]] = {
+            direction: {} for direction in DIRECTIONS
+        }
+
+    def fold(self) -> None:
+        for direction in DIRECTIONS:
+            stats = self.stats[direction]
+            now = (
+                stats.packets_offered,
+                stats.packets_carried,
+                stats.packets_duplicated,
+                stats.bytes_carried,
+            )
+            offered, carried, duplicated, size = (
+                current - before
+                for current, before in zip(now, self.folded[direction])
+            )
+            self.folded[direction] = now
+            labels = (self.name, direction)
+            if offered:
+                self.offered.inc(labels, offered)
+            if carried or size:  # bytes move with carried copies: one row each
+                self.carried.inc(labels, carried)
+                self.bytes.inc(labels, size)
+            if duplicated:
+                self.duplicated.inc(labels, duplicated)
+            folded_drops = self.folded_drops[direction]
+            for reason, count in self.drops[direction].items():
+                delta = count - folded_drops.get(reason, 0)
+                if delta:
+                    self.dropped.inc((self.name, direction, reason), delta)
+                    folded_drops[reason] = count
+
+
 class Link:
     """A bidirectional link between two nodes.
 
@@ -86,6 +178,12 @@ class Link:
     breaks ties in scheduling order).  Impairment pipelines may drop,
     delay (reordering), or duplicate packets per direction; the TCP
     stack's retransmission and in-order delivery logic covers the rest.
+
+    The link's ledger is ``stats`` (per-direction :class:`DirectionStats`)
+    plus ``drops`` (per-direction drop counts by reason).  Nothing else is
+    counted per packet: with a metrics registry installed, the
+    ``link_*_total`` counters are read from that ledger whenever the
+    registry flushes.
     """
 
     def __init__(
@@ -113,6 +211,12 @@ class Link:
         self.stats: Dict[str, DirectionStats] = {
             direction: DirectionStats() for direction in DIRECTIONS
         }
+        #: direction -> drop reason -> drops: the impairment model's class
+        #: name, or ``legacy_loss`` for the flat loss knob.  Sums to each
+        #: direction's ``packets_lost``.
+        self.drops: Dict[str, Dict[str, int]] = {
+            direction: {} for direction in DIRECTIONS
+        }
         self._rng: Dict[str, random.Random] = {
             direction: random.Random(mix_seed(seed, index))
             for index, direction in enumerate(DIRECTIONS)
@@ -120,38 +224,16 @@ class Link:
         self._paths: Dict[str, Optional[ImpairedPath]] = {
             direction: None for direction in DIRECTIONS
         }
-        # Resolved once at construction: None when observability is off,
-        # so transmit() pays a single attribute check per packet.
         obs = active_or_none()
-        self._obs = obs
         if obs is not None:
-            self.obs_name = f"{a.name}<->{b.name}"
-            self._m_offered = obs.counter(
-                "link_packets_offered_total",
-                "Transmission attempts entering a link direction",
-                ("link", "direction"),
+            counters = _LinkCounters(
+                obs, f"{a.name}<->{b.name}", self.stats, self.drops
             )
-            self._m_carried = obs.counter(
-                "link_packets_carried_total",
-                "Delivered copies (duplicates included) per link direction",
-                ("link", "direction"),
-            )
-            self._m_dropped = obs.counter(
-                "link_packets_dropped_total",
-                "Drops per link direction, labeled by the impairment that "
-                "dropped (or legacy_loss for the flat loss knob)",
-                ("link", "direction", "reason"),
-            )
-            self._m_duplicated = obs.counter(
-                "link_packets_duplicated_total",
-                "Extra delivered copies per link direction",
-                ("link", "direction"),
-            )
-            self._m_bytes = obs.counter(
-                "link_bytes_carried_total",
-                "Bytes delivered per link direction (duplicates included)",
-                ("link", "direction"),
-            )
+            obs.on_flush(counters.fold)
+            # The registry holds that hook weakly.  The finalizer holds it
+            # strongly for as long as this link lives, then hands it to the
+            # registry for one last fold at its next flush.
+            weakref.finalize(self, obs.flush_once, counters.fold)
 
     # -- impairment configuration -------------------------------------------
 
@@ -211,46 +293,37 @@ class Link:
     # -- transmission ---------------------------------------------------------
 
     def transmit(self, size: int, now: float, direction: str) -> PacketFate:
-        """Rule on one packet entering the link; update accounting.
+        """Rule on one packet entering the link; update the ledger.
 
         Returns the packet's fate: empty delays = dropped, otherwise one
         extra delay per delivered copy (on top of ``latency``).
         """
         stats = self.stats[direction]
         stats.packets_offered += 1
-        obs = self._obs
-        if obs is not None:
-            self._m_offered.inc((self.obs_name, direction))
         if self.loss and self._rng[direction].random() < self.loss:
             stats.packets_lost += 1
-            if obs is not None:
-                self._m_dropped.inc((self.obs_name, direction, "legacy_loss"))
+            self._tally_drop(direction, "legacy_loss")
             return DROPPED
         path = self._paths[direction]
         if path is None:
             stats.packets_carried += 1
             stats.bytes_carried += size
-            if obs is not None:
-                self._m_carried.inc((self.obs_name, direction))
-                self._m_bytes.inc((self.obs_name, direction), size)
             return DELIVER_CLEAN
         fate = path.traverse(size, now)
-        if fate.dropped:
+        copies = len(fate.delays)
+        if not copies:
             stats.packets_lost += 1
-            if obs is not None:
-                reason = path.last_drop_reason or "impairment"
-                self._m_dropped.inc((self.obs_name, direction, reason))
+            self._tally_drop(direction, path.last_drop_reason or "impairment")
             return fate
-        copies = fate.copies
         stats.packets_carried += copies
-        stats.packets_duplicated += copies - 1
+        if copies > 1:
+            stats.packets_duplicated += copies - 1
         stats.bytes_carried += size * copies
-        if obs is not None:
-            self._m_carried.inc((self.obs_name, direction), copies)
-            if copies > 1:
-                self._m_duplicated.inc((self.obs_name, direction), copies - 1)
-            self._m_bytes.inc((self.obs_name, direction), size * copies)
         return fate
+
+    def _tally_drop(self, direction: str, reason: str) -> None:
+        drops = self.drops[direction]
+        drops[reason] = drops.get(reason, 0) + 1
 
     def account_flow(self, packets: int, size: int, direction: str) -> None:
         """Record an aggregate flow's traversal: ``packets`` packets and
@@ -266,21 +339,10 @@ class Link:
         stats.packets_offered += packets
         stats.packets_carried += packets
         stats.bytes_carried += size
-        if self._obs is not None:
-            self._m_offered.inc((self.obs_name, direction), packets)
-            self._m_carried.inc((self.obs_name, direction), packets)
-            self._m_bytes.inc((self.obs_name, direction), size)
 
     def account(self, size: int, direction: str = "ab") -> None:
         """Record an externally-decided delivery (legacy hook)."""
-        stats = self.stats[direction]
-        stats.packets_offered += 1
-        stats.packets_carried += 1
-        stats.bytes_carried += size
-        if self._obs is not None:
-            self._m_offered.inc((self.obs_name, direction))
-            self._m_carried.inc((self.obs_name, direction))
-            self._m_bytes.inc((self.obs_name, direction), size)
+        self.account_flow(1, size, direction)
 
     # -- aggregate accounting (both directions) ------------------------------
 

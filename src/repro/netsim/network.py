@@ -1,18 +1,19 @@
 """The network: nodes, links, routing, and hop-by-hop packet forwarding.
 
-Routing uses shortest-path next-hop tables computed once after topology
-construction.  Forwarding applies, at every transit node: SAV (routers),
-TTL decrement with ICMP time-exceeded (routers), then each attached tap in
-order — the same pipeline a packet crosses on the paper's OVS switch with
-its censor and MVR Snort instances.
+Routing uses shortest-path hop tables computed once after topology
+construction: for every (node, destination) pair the table holds the
+link to send on, its direction label and the next node, so forwarding a
+packet one hop is a table lookup plus :meth:`Link.transmit`.  Forwarding
+applies, at every transit node: SAV (routers), TTL decrement with ICMP
+time-exceeded (routers), then each attached tap in order — the same
+pipeline a packet crosses on the paper's OVS switch with its censor and
+MVR Snort instances.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
-
-from typing import Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..packets import IPPacket
 from .engine import Simulator
@@ -40,7 +41,14 @@ def _ip_to_int(ip: str) -> int:
 
 
 class Network:
-    """A simulated internetwork bound to a :class:`Simulator`."""
+    """A simulated internetwork bound to a :class:`Simulator`.
+
+    Routes are rebuilt lazily (on the next :meth:`originate` after the
+    topology changes) into a hop table, so forwarding a packet one hop
+    costs a lookup of ``(link, direction, next node)`` plus the link's
+    :meth:`~Link.transmit`; per-packet accounting lives in the links'
+    ledgers, never in the network.
+    """
 
     def __init__(self, sim: Simulator, default_latency: float = 0.001) -> None:
         self.sim = sim
@@ -49,7 +57,9 @@ class Network:
         self.links: List[Link] = []
         self._adjacency: Dict[str, List[Link]] = {}
         self._ip_owner: Dict[str, Host] = {}
-        self._next_hop: Dict[str, Dict[str, str]] = {}
+        #: node -> destination host (or node) -> (link, direction label,
+        #: next node): the first hop of the routed path.
+        self._hops: Dict[Node, Dict[Node, Tuple[Link, str, Node]]] = {}
         self._routes_dirty = True
         self.dropped_no_route = 0
         #: Prefix routes: (mask, network, prefix_len, gateway host), kept
@@ -167,26 +177,31 @@ class Network:
         return resolved
 
     def _build_routes(self) -> None:
-        """All-pairs next-hop tables via BFS (uniform edge weight)."""
-        self._next_hop = {}
-        for source_name in self.nodes:
-            table: Dict[str, str] = {}
-            visited = {source_name}
-            queue = deque([source_name])
-            first_hop: Dict[str, str] = {}
+        """All-pairs hop tables via BFS (uniform edge weight).
+
+        A neighbour's hop is the first link in the source's adjacency
+        list that reaches it; every farther node inherits the hop of the
+        node it was discovered from.
+        """
+        self._hops = {}
+        for source in self.nodes.values():
+            table: Dict[Node, Tuple[Link, str, Node]] = {}
+            visited = {source}
+            queue = deque([source])
             while queue:
                 current = queue.popleft()
-                for link in self._adjacency[current]:
-                    neighbor = link.other_end(self.nodes[current]).name
+                for link in self._adjacency[current.name]:
+                    neighbor = link.other_end(current)
                     if neighbor in visited:
                         continue
                     visited.add(neighbor)
-                    first_hop[neighbor] = (
-                        neighbor if current == source_name else first_hop[current]
+                    table[neighbor] = (
+                        (link, link.direction_from(source), neighbor)
+                        if current is source
+                        else table[current]
                     )
-                    table[neighbor] = first_hop[neighbor]
                     queue.append(neighbor)
-            self._next_hop[source_name] = table
+            self._hops[source] = table
         self._routes_dirty = False
         self._tap_path_cache.clear()
 
@@ -197,13 +212,14 @@ class Network:
         if self._routes_dirty:
             self._build_routes()
         path = [src_name]
-        current = src_name
-        while current != dst_name:
-            hop = self._next_hop[current].get(dst_name)
+        current = self.nodes[src_name]
+        destination = self.nodes.get(dst_name)
+        while current is not destination:
+            hop = self._hops[current].get(destination)
             if hop is None:
                 raise ValueError(f"no route from {src_name} to {dst_name}")
-            path.append(hop)
-            current = hop
+            current = hop[2]
+            path.append(current.name)
         return path
 
     def path_crosses_tap(self, src_name: str, dst_name: str) -> bool:
@@ -253,21 +269,18 @@ class Network:
         if owner is node:
             owner.deliver(packet)
             return
-        hop_name = self._next_hop[node.name].get(owner.name)
-        if hop_name is None:
+        hop = self._hops[node].get(owner)
+        if hop is None:
             self.dropped_no_route += 1
             return
-        link = self._find_link(node.name, hop_name)
-        fate = link.transmit(
-            packet.wire_length(), self.sim.now, link.direction_from(node)
-        )
-        if fate.dropped:
+        link, direction, next_node = hop
+        sim = self.sim
+        delays = link.transmit(packet.wire_length(), sim.now, direction).delays
+        if not delays:
             return
-        next_node = self.nodes[hop_name]
-        delays = fate.delays
         # Hop events are fire-and-forget (nothing ever cancels an in-flight
         # packet), so the uncancellable fast path skips Timer allocation.
-        self.sim.at_uncancellable(
+        sim.at_uncancellable(
             link.latency + delays[0], lambda: self._arrive(packet, next_node)
         )
         for extra in delays[1:]:
@@ -275,7 +288,7 @@ class Network:
             # routers mutate TTL in place, so copies must not share state.
             duplicate = packet.copy()
             duplicate.metadata.update(packet.metadata)
-            self.sim.at_uncancellable(
+            sim.at_uncancellable(
                 link.latency + extra,
                 lambda p=duplicate: self._arrive(p, next_node),
             )
@@ -309,17 +322,19 @@ class Network:
 
         # Taps, in attachment order (censor before/after MVR is topology
         # configuration, matching the paper's two Snort instances).
-        ctx = TapContext(self, node, self.sim.now)
-        for tap in node.taps:
-            if (
-                packet.metadata.get("injected_by") == getattr(tap, "name", None)
-                and not tap.sees_own_injections()
-            ):
-                continue
-            action = tap.process(packet, ctx)
-            if action is Action.DROP:
-                node.packets_dropped += 1
-                return
+        taps = node.taps
+        if taps:
+            ctx = TapContext(self, node, self.sim.now)
+            for tap in taps:
+                if (
+                    packet.metadata.get("injected_by") == getattr(tap, "name", None)
+                    and not tap.sees_own_injections()
+                ):
+                    continue
+                action = tap.process(packet, ctx)
+                if action is Action.DROP:
+                    node.packets_dropped += 1
+                    return
 
         self._forward_from(packet, node)
 

@@ -290,6 +290,9 @@ class MetricsRegistry:
         #: any read (components that batch hot-path increments register
         #: here so reported values stay exact)
         self._flush_hooks: List[weakref.WeakMethod] = []
+        #: one-shot hooks held strongly until the next flush (see
+        #: :meth:`flush_once`)
+        self._final_hooks: List = []
         self._flushing = False
 
     def __bool__(self) -> bool:  # a real registry is truthy; NULL is not
@@ -301,7 +304,8 @@ class MetricsRegistry:
         """Register a bound method to run before reads (held weakly).
 
         Components that accumulate hot-path deltas locally (the rule
-        engine, the surveillance tap) register their fold-in method here;
+        engine, the surveillance tap) or keep their own ledger (links'
+        ``DirectionStats``) register their fold-in method here;
         :meth:`flush_pending` runs at the top of :meth:`get`,
         :meth:`snapshot`, :meth:`render_text`, and :meth:`clear`, so every
         observable value is exact at read time no matter where a batch
@@ -310,9 +314,20 @@ class MetricsRegistry:
         """
         self._flush_hooks.append(weakref.WeakMethod(hook))
 
+    def flush_once(self, hook) -> None:
+        """Hold ``hook`` strongly and run it once, at the next flush.
+
+        For an owner garbage-collected with deltas not yet folded in: a
+        ``weakref.finalize`` on the owner hands its fold-in method over
+        here, so what it counted still reaches the registry.  Appending
+        is safe at collection time, where writing instruments is not (a
+        collection can run in the middle of a snapshot).
+        """
+        self._final_hooks.append(hook)
+
     def flush_pending(self) -> None:
         """Run every live flush hook once (reentrancy-safe)."""
-        if not self._flush_hooks or self._flushing:
+        if not (self._flush_hooks or self._final_hooks) or self._flushing:
             return
         self._flushing = True
         try:
@@ -327,6 +342,11 @@ class MetricsRegistry:
                 self._flush_hooks = [
                     ref for ref in self._flush_hooks if ref() is not None
                 ]
+            # An owner collected while the hooks above ran queues here too.
+            while self._final_hooks:
+                final, self._final_hooks = self._final_hooks, []
+                for hook in final:
+                    hook()
         finally:
             self._flushing = False
 

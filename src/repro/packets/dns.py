@@ -76,6 +76,20 @@ def _encode_name(name: str) -> bytes:
     return bytes(out)
 
 
+_QUESTION_TAIL = struct.Struct("!HH")
+_RECORD_HEADER = struct.Struct("!HHIH")
+_A_RDATA = struct.Struct("!I")
+_MX_PREFERENCE = struct.Struct("!H")
+
+
+def _unpack(layout: struct.Struct, data: bytes, offset: int, what: str) -> tuple:
+    """``layout.unpack_from`` raising ValueError (not ``struct.error``)
+    when ``data`` ends before the field does."""
+    if offset + layout.size > len(data):
+        raise ValueError(f"truncated DNS {what}")
+    return layout.unpack_from(data, offset)
+
+
 def _decode_name(data: bytes, offset: int) -> tuple[str, int]:
     """Decode a possibly-compressed name; return (name, next_offset)."""
     labels: List[str] = []
@@ -150,16 +164,18 @@ class DNSRecord:
     @classmethod
     def parse_rdata(cls, rtype: int, data: bytes, offset: int, rdlen: int) -> object:
         if rtype == QTYPE_A:
-            (value,) = struct.unpack("!I", data[offset : offset + 4])
+            (value,) = _unpack(_A_RDATA, data, offset, "A record")
             return int_to_ip(value)
         if rtype in (QTYPE_NS, QTYPE_CNAME):
             name, _ = _decode_name(data, offset)
             return name
         if rtype == QTYPE_MX:
-            (preference,) = struct.unpack("!H", data[offset : offset + 2])
+            (preference,) = _unpack(_MX_PREFERENCE, data, offset, "MX record")
             exchange, _ = _decode_name(data, offset + 2)
             return (preference, exchange)
         if rtype == QTYPE_TXT:
+            if offset >= len(data):
+                raise ValueError("truncated DNS TXT record")
             length = data[offset]
             return data[offset + 1 : offset + 1 + length].decode("utf-8")
         return bytes(data[offset : offset + rdlen])
@@ -275,6 +291,7 @@ class DNSMessage:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DNSMessage":
+        """Parse a wire-format message; raises ValueError on truncation."""
         if len(data) < 12:
             raise ValueError("truncated DNS header")
         txid, flags, qd, an, ns, ar = struct.unpack("!HHHHHH", data[:12])
@@ -289,14 +306,14 @@ class DNSMessage:
         offset = 12
         for _ in range(qd):
             name, offset = _decode_name(data, offset)
-            qtype, qclass = struct.unpack("!HH", data[offset : offset + 4])
+            qtype, qclass = _unpack(_QUESTION_TAIL, data, offset, "question")
             offset += 4
             msg.questions.append(DNSQuestion(name=name, qtype=qtype, qclass=qclass))
         for section, count in ((msg.answers, an), (msg.authority, ns), (msg.additional, ar)):
             for _ in range(count):
                 name, offset = _decode_name(data, offset)
-                rtype, rclass, ttl, rdlen = struct.unpack(
-                    "!HHIH", data[offset : offset + 10]
+                rtype, rclass, ttl, rdlen = _unpack(
+                    _RECORD_HEADER, data, offset, "record header"
                 )
                 offset += 10
                 value = DNSRecord.parse_rdata(rtype, data, offset, rdlen)

@@ -145,6 +145,16 @@ class TestDNSPoisoning:
         assert results[0].addresses == [topo.blocked_web.ip]
 
 
+class TestMalformedDNS:
+    def test_truncated_query_passes_the_tap(self, world):
+        topo, gfw = world
+        payload = bytes.fromhex("8237073fe4fdccb4dcbd63f8005b96cd")
+        topo.measurement_client.stack.udp_send(topo.dns_server.ip, 53, payload)
+        topo.run()
+        assert gfw.dns_injections == 0
+        assert topo.dns_server.packets_seen >= 1
+
+
 class TestIPBlocking:
     def test_null_route_times_out(self, world):
         topo, gfw = world

@@ -7,14 +7,27 @@ evidence rather than decoration:
    metrics report of two identical instrumented runs must match byte for
    byte — any hash-ordering or wall-clock leak breaks this immediately.
 2. **Conservation cross-check.**  The registry's per-link counters are
-   recorded on a completely separate path from ``DirectionStats`` (the
-   counters inside ``Link.transmit``).  On an impaired 1000-port scan
-   they must agree exactly, direction by direction, drop for drop.
+   read from each link's ledger (``DirectionStats`` plus its drop-reason
+   tallies) at flush time.  On an impaired 1000-port scan they must
+   agree exactly, direction by direction, drop for drop.
+3. **The pull contract.**  Reading the ledger at flush time must give
+   what counting every packet into the registry gave: the same values
+   and the same label rows, at any read, across shared registries and
+   after an environment is gone.
 """
+
+import gc
+import weakref
 
 from repro.analysis import run_report
 from repro.core import MeasurementContext, RetryPolicy, ScanMeasurement, ScanTarget
-from repro.netsim import WebServer, build_three_node, burst_loss_profile
+from repro.netsim import (
+    Duplication,
+    IndependentLoss,
+    WebServer,
+    build_three_node,
+    burst_loss_profile,
+)
 from repro.obs import MetricsRegistry, Tracer, canonical_json, use_registry, use_tracer
 
 
@@ -115,3 +128,155 @@ class TestConservationCrossCheck:
         assert "tcp_retransmitted_segments_total" in report["metrics"]["instruments"]
         for entry in report["links"].values():
             assert entry["conserved"] is True
+
+
+LINK_COUNTERS = (
+    "link_packets_offered_total",
+    "link_packets_carried_total",
+    "link_packets_dropped_total",
+    "link_packets_duplicated_total",
+    "link_bytes_carried_total",
+)
+
+
+def expected_link_rows(links, into=None):
+    """What counting every packet into the registry records for ``links``:
+    counter name -> {label row: value}, a row only where a count moved."""
+    rows = into if into is not None else {name: {} for name in LINK_COUNTERS}
+
+    def add(name, labels, value):
+        if value:
+            rows[name][labels] = rows[name].get(labels, 0) + value
+
+    for link in links:
+        name = f"{link.a.name}<->{link.b.name}"
+        for direction, stats in link.stats.items():
+            key = (name, direction)
+            add("link_packets_offered_total", key, stats.packets_offered)
+            add("link_packets_carried_total", key, stats.packets_carried)
+            add("link_packets_duplicated_total", key, stats.packets_duplicated)
+            if stats.packets_carried:
+                add("link_bytes_carried_total", key, stats.bytes_carried)
+            for reason, count in link.drops[direction].items():
+                add("link_packets_dropped_total", key + (reason,), count)
+    return rows
+
+
+def registry_link_rows(registry):
+    return {name: dict(registry.get(name).labelled()) for name in LINK_COUNTERS}
+
+
+def impaired_scan(registry, seed, port_count=80):
+    """An instrumented scan over a lossy, duplicating path; returns the topology."""
+    with use_registry(registry):
+        topo = build_three_node(seed=seed)
+        WebServer(topo.server)
+        topo.network.impair_all_links(
+            burst_loss_profile(
+                marginal=0.05, mean_burst_length=3.0, duplicate_probability=0.05
+            )
+        )
+        technique = ScanMeasurement(
+            MeasurementContext(
+                client=topo.client,
+                retry_policy=RetryPolicy(max_attempts=3, timeout=1.0),
+            ),
+            [ScanTarget(topo.server.ip, [80], "server")],
+            port_count=port_count,
+            probe_interval=0.005,
+            timeout=1.0,
+        )
+    technique.start()
+    return topo
+
+
+class TestPullContract:
+    def test_shared_registry_sums_a_dropped_environment(self):
+        registry = MetricsRegistry()
+        first = impaired_scan(registry, seed=3)
+        first.sim.run(until=60.0)
+        # Read nothing before dropping it: the first environment's counts
+        # have never been folded into the registry.
+        expected = expected_link_rows(first.network.links)
+        gone = weakref.ref(first.network.links[0])
+        del first
+        gc.collect()
+        assert gone() is None
+
+        second = impaired_scan(registry, seed=4)
+        second.sim.run(until=60.0)
+        expected_link_rows(second.network.links, into=expected)
+
+        rows = registry_link_rows(registry)
+        assert rows == expected
+        assert rows["link_packets_dropped_total"]
+        assert rows["link_packets_duplicated_total"]
+        snapshot = registry.snapshot()["instruments"]
+        for name in LINK_COUNTERS:
+            assert snapshot[name]["values"] == [
+                [list(labels), value] for labels, value in sorted(expected[name].items())
+            ]
+
+    def test_reads_between_runs_equal_direction_stats(self):
+        registry = MetricsRegistry()
+        topo = impaired_scan(registry, seed=5)
+        for until in (0.05, 0.4, 3.0, 60.0):
+            topo.sim.run(until=until)
+            assert registry_link_rows(registry) == expected_link_rows(
+                topo.network.links
+            )
+        # Reading again without new traffic adds nothing.
+        assert registry_link_rows(registry) == expected_link_rows(topo.network.links)
+
+    def test_quiet_direction_has_no_row(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            topo = build_three_node(seed=6)
+            WebServer(topo.server)
+            uplink = topo.network.links[0]
+            toward_server = uplink.direction_from(topo.client)
+            uplink.impair([IndependentLoss(0.3)], direction=toward_server)
+            downlink = topo.network.links[1]
+            downlink.impair(
+                [Duplication(0.5)], direction=downlink.direction_from(topo.server)
+            )
+            technique = ScanMeasurement(
+                MeasurementContext(client=topo.client),
+                [ScanTarget(topo.server.ip, [80], "server")],
+                port_count=40,
+                probe_interval=0.005,
+                timeout=1.0,
+            )
+        technique.start()
+        topo.sim.run(until=30.0)
+
+        rows = registry_link_rows(registry)
+        assert rows == expected_link_rows(topo.network.links)
+        dropped = {labels[:2] for labels in rows["link_packets_dropped_total"]}
+        duplicated = set(rows["link_packets_duplicated_total"])
+        # Only the lossy direction dropped; only the duplicating one duplicated.
+        assert dropped == {("client<->s1", toward_server)}
+        assert duplicated == {("s1<->server", downlink.direction_from(topo.server))}
+        assert {labels[2] for labels in rows["link_packets_dropped_total"]} == {
+            "IndependentLoss"
+        }
+
+    def test_account_flow_traffic_is_counted(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            topo = build_three_node(seed=7)
+        link = topo.network.links[0]
+        link.account_flow(12, 9000, "ab")
+        assert registry.get("link_packets_offered_total").value(
+            ("client<->s1", "ab")
+        ) == 12
+        link.account_flow(3, 1500, "ab")
+        link.account(60, "ba")
+        rows = registry_link_rows(registry)
+        assert rows == expected_link_rows(topo.network.links)
+        assert rows["link_bytes_carried_total"] == {
+            ("client<->s1", "ab"): 10500,
+            ("client<->s1", "ba"): 60,
+        }
+        assert rows["link_packets_carried_total"][("client<->s1", "ab")] == 15
+        assert rows["link_packets_dropped_total"] == {}

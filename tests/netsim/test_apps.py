@@ -90,6 +90,18 @@ class TestDNSServer:
         # No DNS server bound: closed UDP port -> ICMP unreachable -> timeout
         assert results[0].status == "timeout"
 
+    def test_truncated_query_is_ignored(self, topo):
+        server = DNSServer(topo.server, Zone().add_a("e.com", "1.1.1.1"))
+        payload = bytes.fromhex("8237073fe4fdccb4dcbd63f8005b96cd")
+        topo.client.stack.udp_send(topo.server.ip, 53, payload)
+        topo.run()
+        assert server.queries_served == 0
+        # The server still answers well-formed queries afterwards.
+        results = []
+        resolve(topo.client, topo.server.ip, "e.com", callback=results.append)
+        topo.run()
+        assert results[0].addresses == ["1.1.1.1"]
+
     def test_query_counter(self, topo):
         server = DNSServer(topo.server, Zone().add_a("e.com", "1.1.1.1"))
         for _ in range(3):

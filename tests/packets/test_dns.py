@@ -147,6 +147,25 @@ class TestMisc:
         with pytest.raises(ValueError):
             DNSMessage.from_bytes(b"\x00" * 6)
 
+    def test_truncated_question_raises_value_error(self):
+        # A full header claiming 0x073f questions, then 4 bytes that end
+        # inside the first question's type/class fields.
+        payload = bytes.fromhex("8237073fe4fdccb4dcbd63f8005b96cd")
+        with pytest.raises(ValueError):
+            DNSMessage.from_bytes(payload)
+
+    @pytest.mark.parametrize("keep", range(12, 45))
+    def test_every_truncation_raises_value_error(self, keep):
+        import struct
+
+        header = struct.pack("!HHHHHH", 7, 0x8180, 1, 1, 0, 0)
+        question = b"\x07example\x03com\x00" + struct.pack("!HH", QTYPE_A, 1)
+        answer = b"\xc0\x0c" + struct.pack("!HHIH", QTYPE_A, 1, 300, 4) + bytes(4)
+        wire = header + question + answer
+        assert keep < len(wire)
+        with pytest.raises(ValueError):
+            DNSMessage.from_bytes(wire[:keep])
+
     def test_question_none_when_empty(self):
         assert DNSMessage().question is None
 
