@@ -11,10 +11,13 @@ reaches the tap.  The contract that makes this safe:
 * **Tier decision is deterministic and RNG-free.**  It depends only on
   the routed path and tap placement (``Network.path_crosses_tap``), so
   the flow schedule is identical across fidelity modes.
-* **Templates plan exactly.**  ``AggregateFlow`` byte/packet totals are
-  computed arithmetically by the traffic templates, and ``_expand``
-  asserts that materialized wire bytes equal the plan — conservation is
-  enforced at runtime, not just in tests.
+* **Templates plan exactly.**  ``AggregateFlow`` byte/packet totals come
+  from running the template's packet script — the same script
+  materialization uses — once per distinct ``(template, params)``; the
+  totals never depend on the flow id, so later flows reuse that plan.
+  ``_expand`` asserts that materialized wire bytes equal the plan for
+  every expanded flow — conservation is enforced at runtime, not just in
+  tests.
 * **Aggregate accounting preserves link invariants.**  Aggregate flows
   bump offered/carried/bytes equally (``Link.account_flow``), so
   ``DirectionStats.conserved`` holds trivially.  The accepted fidelity

@@ -9,7 +9,7 @@ documents indicate both real systems are off-path signature-based IDSes
 Evaluation runs on a fast path by default: a :class:`RuleDispatchIndex`
 limits each packet to candidate rules bucketed by protocol and destination
 port, a shared :class:`MatchContext` computes per-packet facts once, and a
-ruleset-wide Aho–Corasick pass (:mod:`.multipattern`) turns each rule's
+ruleset-wide literal search (:mod:`.multipattern`) turns each rule's
 necessary-literal check into a set-membership test — candidate content
 rules are only *revived* when their anchor literal was actually seen in
 the payload.  ``RuleEngine(use_index=False)`` keeps the naive full-scan
@@ -43,7 +43,7 @@ __all__ = ["Alert", "RuleEngine", "PREFILTER_MODES"]
 _PROTO_OF = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP}
 
 #: Literal-prefilter strategies: "multipattern" is the ruleset-wide
-#: Aho–Corasick pass, "anchor" the legacy per-rule ``needle in hay`` check,
+#: literal search, "anchor" the legacy per-rule ``needle in hay`` check,
 #: "none" disables literal filtering entirely.  "auto" resolves to
 #: multipattern on the indexed path and "none" on the naive reference path.
 PREFILTER_MODES = ("auto", "multipattern", "anchor", "none")
@@ -279,14 +279,14 @@ class RuleEngine:
                 # instance's version so the replacement's post-finalize
                 # version strictly exceeds any per-flow scan state saved
                 # against the old automaton — those states rescan on
-                # their next packet instead of resuming a stale DFA walk.
+                # their next packet instead of resuming a stale scan.
                 replacement = MultiPatternAutomaton()
                 replacement.version = self._mp.version
                 replacement.add_rules(self.rules)
                 self._mp = replacement
             else:
-                # Extends the automaton incrementally; the next scan
-                # refreshes the DFA tables and bumps the version, which
+                # Extends the literal table in place; the next scan
+                # recompiles the alternation and bumps the version, which
                 # invalidates every saved per-flow scan state (they rescan
                 # against the new automaton on the next packet).
                 self._mp.add_rules(added)
@@ -438,7 +438,8 @@ class RuleEngine:
     def _present_ids(self, ctx: MatchContext, update: Optional[StreamUpdate]):
         """Literal ids present in this packet's haystack (exact, not a
         superset).  Stream haystacks resume a per-flow-direction scan
-        state so each buffered byte is walked once per flow lifetime."""
+        state, so only bytes near or past the last scanned end are
+        searched again."""
         mp = self._mp
         if update is None:
             payload = ctx.payload
@@ -460,10 +461,11 @@ class RuleEngine:
             state = StreamScanState(version, flow.content_version)
             flow.mp_states[direction] = state
         if state.scanned < length:
-            haystack = flow.snapshot(direction)
-            lowered = flow.snapshot_lower(direction)
-            state.state = mp.scan_chunk(
-                lowered, haystack, state.scanned, state.state, state.present
+            mp.scan_chunk(
+                flow.snapshot_lower(direction),
+                flow.snapshot(direction),
+                state.scanned,
+                state.present,
             )
             state.scanned = length
         return state.present

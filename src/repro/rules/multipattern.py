@@ -1,4 +1,4 @@
-"""Ruleset-wide multi-pattern matching: an Aho–Corasick literal prefilter.
+"""Ruleset-wide multi-pattern matching: one compiled literal prefilter.
 
 Real IDSes do not test each rule's content literals independently — Snort
 feeds *every* fast-pattern literal in the ruleset into one multi-pattern
@@ -17,28 +17,32 @@ Design:
   Ids are global so a Rule shared by two engines means the same thing in
   both automatons.
 
-- **Case folding.**  The automaton stores each literal by its case-folded
-  form; a folded pattern node carries every member literal as a distinct
-  id.  ``nocase`` literals (already stored lowered by the rule parser)
-  match whenever their folded form occurs.  Case-sensitive literals ride
-  the same folded trie — the folded variant acts as a distinct internal
-  pattern — and are *confirmed* with an exact raw-byte comparison at the
-  match position, so the reported hit set is exactly
-  ``{id : needle in haystack}`` (lowered haystack for nocase ids), never a
-  superset.  One scan of the folded payload therefore serves both cases.
+- **Compiled alternation.**  The distinct case-folded literals are
+  compiled into one ``re`` alternation, longest first.  Its ``search``
+  runs in C and stops only at positions where some folded literal
+  starts; there the literals bucketed under that first byte are
+  confirmed with ``startswith``.  A folded literal carries every member
+  literal as a distinct id: ``nocase`` members (already stored lowered
+  by the rule parser) hit whenever their folded form occurs, and
+  case-sensitive members are confirmed against the raw haystack with
+  ``haystack.startswith(needle, at)``.  The reported hit set is therefore
+  exactly ``{id : needle in haystack}`` (lowered haystack for nocase
+  ids), never a superset, and one pass over the folded payload serves
+  both cases.
 
-- **Incremental stream scanning.**  TCP rules match against the
+- **Overlap resume for streams.**  TCP rules match against the
   reassembled stream, which only grows (the ``"last"`` overlap policy can
   rewrite it, which bumps the flow's ``content_version`` and forces a
-  rescan).  :meth:`MultiPatternAutomaton.scan_chunk` resumes from a saved
-  DFA state, so each stream byte is scanned once per flow lifetime instead
-  of once per packet.
+  rescan).  Any literal that ends past the ``scanned`` bytes seen so far
+  starts at or after ``scanned - maxlen + 1``, so
+  :meth:`MultiPatternAutomaton.scan_chunk` resumes there and each stream
+  byte is searched at most ``maxlen`` times per flow lifetime, not once
+  per packet.  One-shot and stream scans share the same search loop.
 
-- **Adaptive one-shot scans.**  For datagram payloads the DFA walk is a
-  per-byte Python loop; above ``ONE_SHOT_DFA_LIMIT`` bytes it is cheaper
-  to run one C-speed ``in`` scan per *unique folded pattern* (the deduped
-  literal table, not one scan per rule).  Both strategies report the same
-  exact hit set; :meth:`scan` picks by haystack size.
+- **Version fence.**  ``version`` increments on every finalize (the
+  first scan after literals were added).  Saved :class:`StreamScanState`
+  ``present`` sets carry the version they were built under, so a ruleset
+  extension invalidates them and the stream is rescanned from byte 0.
 
 Soundness of the prefilter: every non-negated ``content`` must occur
 somewhere in the haystack for its rule to fire (``offset``/``depth`` only
@@ -50,7 +54,7 @@ required ids and are never filtered.
 
 from __future__ import annotations
 
-from collections import deque
+import re
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -62,14 +66,7 @@ __all__ = [
     "anchor_literal_id",
     "shared_automaton",
     "clear_automaton_cache",
-    "ONE_SHOT_DFA_LIMIT",
 ]
-
-#: One-shot haystacks longer than this are scanned with one C-speed ``in``
-#: per unique folded pattern instead of the per-byte DFA walk (the DFA is
-#: O(n) in Python bytecode; ``in`` is O(n) in C — the constant factors
-#: cross over around a few hundred bytes for ruleset-sized literal tables).
-ONE_SHOT_DFA_LIMIT = 256
 
 # -- global literal interning --------------------------------------------------
 
@@ -152,9 +149,9 @@ def anchor_literal_id(rule) -> Optional[int]:
 #: process-wide finalized automatons keyed by their literal-id set.  Sweep
 #: workers are reused across points by the process pool, and every
 #: censored-as point rebuilds the same censor/MVR/surveillance rulesets —
-#: without the cache each rebuild pays the full trie + failure-link +
-#: dense-table construction (the ``multipattern_build`` bench) three times
-#: per point.  The automaton's matching behavior is a pure function of its
+#: without the cache each rebuild pays literal collection and the
+#: alternation compile (the ``multipattern_build`` bench) three times per
+#: point.  The automaton's matching behavior is a pure function of its
 #: literal set, so any two rulesets with the same literals can share one
 #: instance; sharing is safe because scans never mutate a finalized
 #: automaton, and engines that *extend* their ruleset copy-on-write (see
@@ -212,43 +209,39 @@ def clear_automaton_cache() -> int:
 class StreamScanState:
     """Per-flow-direction resumable scan position.
 
-    ``present`` accumulates the literal ids seen so far in the stream
-    buffer (monotone while the buffer only appends, which is exactly when
-    the state is reusable).
+    ``present`` accumulates the literal ids seen in the first ``scanned``
+    bytes of the stream buffer (monotone while the buffer only appends,
+    which is exactly when the state is reusable).
     """
 
-    __slots__ = ("automaton_version", "content_version", "scanned", "state", "present")
+    __slots__ = ("automaton_version", "content_version", "scanned", "present")
 
     def __init__(self, automaton_version: int, content_version: int) -> None:
         self.automaton_version = automaton_version
         self.content_version = content_version
         self.scanned = 0
-        self.state = 0
         self.present: set = set()
 
 
 class MultiPatternAutomaton:
-    """An Aho–Corasick automaton over one engine's content literals.
+    """A compiled multi-literal search over one engine's content literals.
 
-    Built lazily: :meth:`add_literal`/:meth:`add_rules` extend the trie and
-    mark the link/output tables dirty; the first scan after an extension
-    recomputes failure links and the dense transition table from the
-    persistent trie (incremental in the trie, amortized in the tables).
-    ``version`` increments on every finalize so saved stream states from an
-    older automaton are detected and rescanned.
+    Built lazily: :meth:`add_literal`/:meth:`add_rules` extend the literal
+    table and mark it dirty; the first scan after an extension recompiles
+    the alternation and first-byte buckets.  ``version`` increments on
+    every finalize so saved stream states from an older automaton are
+    detected and rescanned.
     """
 
     def __init__(self) -> None:
-        #: folded pattern -> list of (lid, needle, case_sensitive) members
+        #: folded literal -> list of (lid, needle, case_sensitive) members
         self._groups: Dict[bytes, List[Tuple[int, bytes, bool]]] = {}
-        #: trie: per-node byte -> child node index
-        self._children: List[Dict[int, int]] = [{}]
-        #: per-node folded pattern terminating there (or None)
-        self._terminal: List[Optional[bytes]] = [None]
-        #: dense DFA tables, rebuilt by _finalize()
-        self._next: List[List[int]] = []
-        #: per-state tuple of (folded_len, members) output groups, () if none
-        self._out: List[tuple] = []
+        #: compiled alternation's bound ``search``, rebuilt by _finalize()
+        self._search = None
+        #: first folded byte -> ((folded, members), ...) confirmed there
+        self._buckets: Dict[int, tuple] = {}
+        #: longest folded literal; streams resume ``maxlen - 1`` bytes back
+        self._maxlen = 0
         self._dirty = True
         self.version = 0
         #: every interned id this automaton contains
@@ -267,21 +260,22 @@ class MultiPatternAutomaton:
         return frozenset(self._known_ids)
 
     def add_literal(self, needle: bytes, nocase: bool) -> int:
-        """Register one literal; returns its global id."""
+        """Register one literal; returns its global id.
+
+        Raises ValueError for an empty needle: it would match at every
+        position, and ``content:""`` never reaches here from the parser.
+        """
+        if not needle:
+            raise ValueError("multipattern literals must be non-empty")
         lid = intern_literal(needle, nocase)
         if lid in self._known_ids:
             return lid
         self._known_ids.add(lid)
         folded = needle if nocase else needle.lower()
-        members = self._groups.get(folded)
-        if members is None:
-            members = []
-            self._groups[folded] = members
-            self._trie_insert(folded)
         # nocase needles are pre-lowered, so folded == needle for them and
         # no raw confirmation is needed; case-sensitive members confirm
         # against the raw haystack at the match position.
-        members.append((lid, needle, not nocase))
+        self._groups.setdefault(folded, []).append((lid, needle, not nocase))
         self._dirty = True
         return lid
 
@@ -296,66 +290,21 @@ class MultiPatternAutomaton:
             required_literal_ids(rule)
             anchor_literal_id(rule)
 
-    def _trie_insert(self, folded: bytes) -> None:
-        node = 0
-        children = self._children
-        for byte in folded:
-            nxt = children[node].get(byte)
-            if nxt is None:
-                children.append({})
-                self._terminal.append(None)
-                nxt = len(children) - 1
-                children[node][byte] = nxt
-            node = nxt
-        self._terminal[node] = folded
-
     def _finalize(self) -> None:
-        """Recompute failure links, collapsed outputs, and dense tables."""
-        children = self._children
-        n_states = len(children)
-        fail = [0] * n_states
-        # outputs per state before collapsing fail chains
-        out: List[list] = [[] for _ in range(n_states)]
-        for node in range(n_states):
-            folded = self._terminal[node]
-            if folded is not None:
-                out[node].append((len(folded), tuple(self._groups[folded])))
-
-        queue = deque()
-        for child in children[0].values():
-            queue.append(child)
-        order = []
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            for byte, child in children[node].items():
-                queue.append(child)
-                state = fail[node]
-                while state and byte not in children[state]:
-                    state = fail[state]
-                nxt = children[state].get(byte, 0)
-                fail[child] = nxt if nxt != child else 0
-        # collapse outputs along failure links (BFS order guarantees the
-        # fail target's outputs are already complete)
-        for node in order:
-            if out[fail[node]]:
-                out[node] = out[node] + out[fail[node]]
-
-        # dense goto-with-failure transition table
-        root = children[0]
-        table: List[List[int]] = [[0] * 256 for _ in range(n_states)]
-        base = table[0]
-        for byte, child in root.items():
-            base[byte] = child
-        for node in order:
-            row = table[node]
-            fail_row = table[fail[node]]
-            row[:] = fail_row
-            for byte, child in children[node].items():
-                row[byte] = child
-
-        self._next = table
-        self._out = [tuple(groups) for groups in out]
+        """Recompile the alternation and the first-byte buckets."""
+        folded_all = sorted(self._groups, key=lambda folded: (-len(folded), folded))
+        buckets: Dict[int, list] = {}
+        for folded in folded_all:
+            buckets.setdefault(folded[0], []).append(
+                (folded, tuple(self._groups[folded]))
+            )
+        self._buckets = {byte: tuple(group) for byte, group in buckets.items()}
+        self._search = (
+            re.compile(b"|".join(map(re.escape, folded_all))).search
+            if folded_all
+            else None
+        )
+        self._maxlen = len(folded_all[0]) if folded_all else 0
         self._dirty = False
         self.version += 1
 
@@ -366,7 +315,7 @@ class MultiPatternAutomaton:
 
         Callers holding :class:`StreamScanState` must compare versions
         *after* this call — a finalize bumps the version and invalidates
-        every saved DFA state.
+        every saved ``present`` set.
         """
         if self._dirty:
             self._finalize()
@@ -378,62 +327,49 @@ class MultiPatternAutomaton:
         ``lowered`` may be passed when the caller already folded the
         haystack (the engine's MatchContext shares one folded copy).
         """
+        present: set = set()
         if not self._groups or not haystack:
-            return set()
+            return present
         if self._dirty:
             self._finalize()
         if lowered is None:
             lowered = haystack.lower()
-        present: set = set()
-        if len(lowered) > ONE_SHOT_DFA_LIMIT:
-            for folded, members in self._groups.items():
-                if folded in lowered:
-                    for lid, needle, confirm in members:
-                        if not confirm:
-                            present.add(lid)
-                        elif needle in haystack:
-                            present.add(lid)
-            return present
-        self._walk(lowered, haystack, 0, 0, present)
+        self._search_from(lowered, haystack, 0, present)
         return present
 
     def scan_chunk(
-        self,
-        lowered: bytes,
-        haystack: bytes,
-        start: int,
-        state: int,
-        present: set,
-    ) -> int:
-        """Resume a stream scan over ``lowered[start:]``; returns the new
-        DFA state.  ``lowered``/``haystack`` are the *full* buffer snapshots
-        so case confirmation and cross-chunk matches see every byte."""
+        self, lowered: bytes, haystack: bytes, scanned: int, present: set
+    ) -> None:
+        """Extend a stream scan to the whole buffer, adding hits to ``present``.
+
+        ``present`` must already hold every literal occurring in the first
+        ``scanned`` bytes; ``lowered``/``haystack`` are the *full* buffer
+        snapshots.  Only a literal that ends past ``scanned`` can be new,
+        so the search resumes ``maxlen - 1`` bytes before it, which also
+        catches literals straddling the previous end.
+        """
         if self._dirty:
             self._finalize()
-        if not self._groups:
-            return state
-        return self._walk(lowered, haystack, start, state, present)
+        if self._search is None:
+            return
+        self._search_from(
+            lowered, haystack, max(0, scanned - self._maxlen + 1), present
+        )
 
-    def _walk(
-        self, lowered: bytes, haystack: bytes, start: int, state: int, present: set
-    ) -> int:
-        table = self._next
-        out = self._out
-        position = start
-        for byte in memoryview(lowered)[start:]:
-            state = table[state][byte]
-            position += 1
-            groups = out[state]
-            if groups:
-                for length, members in groups:
+    def _search_from(
+        self, lowered: bytes, haystack: bytes, pos: int, present: set
+    ) -> None:
+        search = self._search
+        buckets = self._buckets
+        match = search(lowered, pos)
+        while match is not None:
+            at = match.start()
+            for folded, members in buckets[lowered[at]]:
+                if lowered.startswith(folded, at):
                     for lid, needle, confirm in members:
-                        if lid in present:
-                            continue
-                        if not confirm:
+                        if not confirm or haystack.startswith(needle, at):
                             present.add(lid)
-                        elif haystack[position - length : position] == needle:
-                            present.add(lid)
-        return state
+            match = search(lowered, at + 1)
 
     # -- reference implementation (tests cross-check against this) -------------
 

@@ -95,11 +95,20 @@ class _FlowTemplate:
     packet-level materialization iterate the same script, so the two
     tiers cannot drift apart — and ``FlowFidelityEngine._expand`` asserts
     they haven't.
+
+    Invariant: payload *lengths*, packet counts and offsets are a function
+    of ``params`` alone.  ``flow_id`` may change payload bytes (ports,
+    paths, transaction ids), but only through fixed-width fields, so
+    :meth:`plan` runs the script once per distinct ``params`` and serves
+    every later flow from that memo.
     """
 
     kind = ""
     protocol = "tcp"
     dport = 0
+
+    def __init__(self) -> None:
+        self._plans: Dict[Tuple, Tuple[int, int, int, int, float]] = {}
 
     def script(
         self, flow_id: int, params: Tuple
@@ -109,6 +118,9 @@ class _FlowTemplate:
 
     def plan(self, flow_id: int, params: Tuple) -> Tuple[int, int, int, int, float]:
         """(packets_up, bytes_up, packets_down, bytes_down, duration)."""
+        cached = self._plans.get(params)
+        if cached is not None:
+            return cached
         overhead = _TCP_OVERHEAD if self.protocol == "tcp" else _UDP_OVERHEAD
         packets = [0, 0]
         bytes_ = [0, 0]
@@ -118,7 +130,9 @@ class _FlowTemplate:
             bytes_[side] += overhead + len(payload)
             if offset > last:
                 last = offset
-        return packets[0], bytes_[0], packets[1], bytes_[1], last + _TICK
+        planned = packets[0], bytes_[0], packets[1], bytes_[1], last + _TICK
+        self._plans[params] = planned
+        return planned
 
     def materialize(
         self, flow: AggregateFlow
@@ -250,7 +264,7 @@ class _SMTPTemplate(_FlowTemplate):
             yield 1, b"220 relay ESMTP ready\r\n"
             yield 0, f"HELO {helo}\r\n".encode()
             yield 1, b"250 relay\r\n"
-            yield 0, f"MAIL FROM:<user{flow_id & 0xFFFFF:06d}@{helo}>\r\n".encode()
+            yield 0, f"MAIL FROM:<user{flow_id % 1_000_000:06d}@{helo}>\r\n".encode()
             yield 1, b"250 ok\r\n"
             yield 0, b"RCPT TO:<inbox@example.net>\r\n"
             yield 1, b"250 ok\r\n"

@@ -118,8 +118,8 @@ class TestEngineIntegration:
 
     def test_replacement_version_invalidates_saved_stream_states(self):
         """A per-flow scan state saved against the shared automaton must
-        compare stale against the private replacement, or stale DFA walks
-        would resume silently."""
+        compare stale against the private replacement, or stale ``present``
+        sets would be extended silently."""
         extender = RuleEngine.from_text(
             censor_ruleset_text(), variables=DEFAULT_VARIABLES
         )

@@ -5,17 +5,18 @@ The prefilter is only sound if :meth:`MultiPatternAutomaton.scan` reports
 silently drop alerts, an invented one merely wastes work.  Hypothesis
 drives the automaton with adversarial literal sets (overlapping needles,
 shared prefixes/suffixes, case-sensitive and nocase members of the same
-folded pattern) over both scan strategies (the DFA walk and the
-per-pattern C ``in`` path for large haystacks) and the incremental
-chunked stream scan, always comparing against the one-``in``-per-literal
-reference semantics.
+folded pattern) over small and large one-shot haystacks, long filler
+runs like the population traffic's bodies, and the incremental chunked
+stream scan (whose overlap resume must catch literals straddling chunk
+ends), always comparing against the one-``in``-per-literal reference
+semantics.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rules import RuleEngine, parse_rule
 from repro.rules.multipattern import (
-    ONE_SHOT_DFA_LIMIT,
     MultiPatternAutomaton,
     anchor_literal_id,
     intern_literal,
@@ -47,10 +48,12 @@ haystacks = st.lists(
     st.sampled_from(HAY_ALPHABET), min_size=0, max_size=80
 ).map(bytes)
 
+#: one-shot haystacks well past the small-haystack strategy's 80 bytes
+LARGE_MIN = 257
+LARGE_MAX = 456
+
 large_haystacks = st.lists(
-    st.sampled_from(HAY_ALPHABET),
-    min_size=ONE_SHOT_DFA_LIMIT + 1,
-    max_size=ONE_SHOT_DFA_LIMIT + 200,
+    st.sampled_from(HAY_ALPHABET), min_size=LARGE_MIN, max_size=LARGE_MAX
 ).map(bytes)
 
 
@@ -81,7 +84,7 @@ class TestScanExactness:
     @settings(max_examples=60, deadline=None)
     @given(literals, large_haystacks)
     def test_large_haystack_path_equals_naive_in(self, literal_pairs, haystack):
-        assert len(haystack) > ONE_SHOT_DFA_LIMIT  # the per-pattern C path
+        assert LARGE_MIN <= len(haystack) <= LARGE_MAX
         automaton = _build(literal_pairs)
         assert automaton.scan(haystack) == _reference(automaton, haystack)
 
@@ -94,13 +97,10 @@ class TestScanExactness:
         matches and reports the same set as one scan of the final buffer."""
         automaton = _build(literal_pairs)
         present = set()
-        state = 0
         scanned = 0
         for end in range(step, len(haystack) + step, step):
             buffer = haystack[:end]
-            state = automaton.scan_chunk(
-                buffer.lower(), buffer, scanned, state, present
-            )
+            automaton.scan_chunk(buffer.lower(), buffer, scanned, present)
             scanned = len(buffer)
         assert present == _reference(automaton, haystack)
 
@@ -124,6 +124,105 @@ class TestScanExactness:
             # (the version ensure_ready reports) must have moved past
             # every saved StreamScanState
             assert automaton.ensure_ready() > version_before
+
+
+#: Population traffic bodies are long runs of one byte: web 0x20, SMTP
+#: 0x41, video 0x56; ``f`` stands in for a filler that starts a literal.
+FILLER_BYTES = (0x20, 0x41, 0x56, ord("f"))
+MSS = 1460
+
+
+@st.composite
+def filler_runs(draw):
+    """(literal pairs, haystack, splice spans) over long single-byte runs.
+
+    Literals start with filler bytes, so the search stops at many run
+    positions where no whole literal matches.  Spliced copies may be
+    re-cased, which exercises case-sensitive confirmation.
+    """
+    fills = [bytes([byte]) for byte in FILLER_BYTES]
+    literal_pairs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(fills),
+                st.integers(min_value=0, max_value=3),
+                st.lists(st.sampled_from(list(b"xyXY. ")), max_size=4).map(bytes),
+                st.booleans(),
+            ).map(
+                lambda t: (
+                    ((t[0] * (1 + t[1]) + t[2]).lower(), True)
+                    if t[3]
+                    else (t[0] * (1 + t[1]) + t[2], False)
+                )
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    haystack = bytearray()
+    spans = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        haystack += draw(st.sampled_from(fills)) * draw(
+            st.integers(min_value=0, max_value=2500)
+        )
+        needle = draw(st.sampled_from(literal_pairs))[0]
+        if draw(st.booleans()):
+            needle = needle.upper()
+        spans.append((len(haystack), len(haystack) + len(needle)))
+        haystack += needle
+    haystack += draw(st.sampled_from(fills)) * draw(
+        st.integers(min_value=0, max_value=2500)
+    )
+    return literal_pairs, bytes(haystack), spans
+
+
+class TestFillerRuns:
+    @settings(max_examples=80, deadline=None)
+    @given(filler_runs())
+    def test_one_shot_scan_equals_naive_present(self, case):
+        literal_pairs, haystack, _spans = case
+        automaton = _build(literal_pairs)
+        assert automaton.scan(haystack) == automaton.naive_present(haystack)
+
+    @settings(max_examples=80, deadline=None)
+    @given(filler_runs(), st.lists(st.integers(min_value=1, max_value=MSS), max_size=12))
+    def test_chunked_stream_scan_equals_naive_present(self, case, sizes):
+        """Segments of at most one MSS, with a cut inside every spliced
+        literal so each one straddles two chunks."""
+        literal_pairs, haystack, spans = case
+        automaton = _build(literal_pairs)
+        cuts = {(start + end) // 2 for start, end in spans if end - start > 1}
+        at = 0
+        for size in sizes:
+            at += size
+            cuts.add(at)
+        ends = []
+        previous = 0
+        for cut in sorted(c for c in cuts if 0 < c < len(haystack)) + [len(haystack)]:
+            while cut - previous > MSS:
+                previous += MSS
+                ends.append(previous)
+            ends.append(cut)
+            previous = cut
+        present = set()
+        scanned = 0
+        for end in ends:
+            buffer = haystack[:end]
+            automaton.scan_chunk(buffer.lower(), buffer, scanned, present)
+            scanned = end
+        assert present == automaton.naive_present(haystack)
+
+
+class TestEmptyLiteral:
+    def test_empty_needle_is_rejected(self):
+        """An empty literal would match at every position; the parser
+        never produces one, so the automaton refuses it outright."""
+        automaton = MultiPatternAutomaton()
+        for nocase in (True, False):
+            with pytest.raises(ValueError):
+                automaton.add_literal(b"", nocase)
+        assert len(automaton) == 0
+        assert automaton.scan(b"") == automaton.naive_present(b"") == set()
 
 
 class TestOverlappingLiterals:

@@ -11,7 +11,7 @@ diverge by construction — the documented limit of the equivalence.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.netsim import AggregateFlow, PacketCapture, build_censored_as
 from repro.obs import MetricsRegistry, use_registry
@@ -226,6 +226,74 @@ class TestTemplateConservation:
         )
         assert total_bytes == flow.bytes_total
         assert total_packets == flow.packets_total
+
+
+PROFILE = PopulationProfile()
+SITE_HOSTS = [f"cdn-{k:02d}.example.com" for k in range(PROFILE.site_count)] + [
+    f"ext-{k:02d}.example.net" for k in range(PROFILE.site_count)
+]
+
+#: every template with the params its generator can draw under the
+#: default profile (the same hosts, sizes and counts ``_spawn_*`` pick)
+template_params = st.one_of(
+    st.tuples(
+        st.just(_WebTemplate),
+        st.tuples(st.sampled_from(SITE_HOSTS), st.sampled_from(PROFILE.page_bytes)),
+    ),
+    st.tuples(
+        st.just(_VideoTemplate),
+        st.tuples(
+            st.just("video.example.com"),
+            st.just(PROFILE.video_segment_bytes),
+            st.sampled_from(PROFILE.video_segments_per_fetch),
+        ),
+    ),
+    st.tuples(
+        st.just(_SMTPTemplate),
+        st.tuples(
+            st.just("client.example.com"), st.sampled_from(PROFILE.message_bytes)
+        ),
+    ),
+    st.tuples(st.just(_DNSTemplate), st.tuples(st.sampled_from(SITE_HOSTS))),
+)
+
+#: the full 32-bit id space, plus the band where a 20-bit mask still
+#: yields seven decimal digits
+flow_ids = st.one_of(
+    st.integers(0, 2**32 - 1), st.integers(10**6, 2**20 - 1)
+)
+
+
+class TestPlanDependsOnlyOnParams:
+    """``plan`` is memoised per ``params``, which is only sound if no
+    template's packet lengths depend on ``flow_id``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=template_params, flow_id=flow_ids)
+    @example(case=(_SMTPTemplate, ("client.example.com", 900)), flow_id=10**6)
+    @example(case=(_SMTPTemplate, ("client.example.com", 900)), flow_id=2**20 - 1)
+    def test_plan_is_flow_id_independent(self, case, flow_id):
+        template_cls, params = case
+        assert template_cls().plan(flow_id, params) == template_cls().plan(0, params)
+
+    def test_smtp_address_keeps_six_digits(self):
+        template = _SMTPTemplate()
+        for flow_id in (0, 999_999, 10**6, 2**20 - 1, 2**32 - 1):
+            mail_from = [
+                payload
+                for _offset, _side, payload, _flags in template.script(
+                    flow_id, ("client.example.com", 900)
+                )
+                if payload.startswith(b"MAIL FROM")
+            ]
+            assert len(mail_from) == 1
+            assert len(mail_from[0]) == len(b"MAIL FROM:<user000000@client.example.com>\r\n")
+
+    def test_plan_is_memoised_per_params(self):
+        template = _WebTemplate()
+        first = template.plan(3, ("cdn-00.example.com", 2_200))
+        assert template.plan(7, ("cdn-00.example.com", 2_200)) is first
+        assert template.plan(7, ("cdn-00.example.com", 14_600)) != first
 
 
 class TestPopulationSurface:
