@@ -347,8 +347,12 @@ class IPPacket:
         _oset(new, "_seed_body", self._seed_body)
         return new
 
-    def summary(self) -> str:
-        """One-line human-readable description, for logs and debugging."""
+    def summary(self, ttl: Optional[int] = None) -> str:
+        """One-line human-readable description, for logs and debugging.
+
+        ``ttl`` overrides the packet's current TTL, for callers that saw
+        the packet before a router decremented it.
+        """
         proto = {PROTO_TCP: "TCP", PROTO_UDP: "UDP", PROTO_ICMP: "ICMP"}.get(
             self.protocol, str(self.protocol)
         )
@@ -357,4 +361,6 @@ class IPPacket:
             detail = f" {self.tcp.sport}->{self.tcp.dport} [{self.tcp.flag_names()}]"
         elif self.udp is not None:
             detail = f" {self.udp.sport}->{self.udp.dport}"
-        return f"IP {self.src} -> {self.dst} {proto}{detail} ttl={self.ttl}"
+        if ttl is None:
+            ttl = self.ttl
+        return f"IP {self.src} -> {self.dst} {proto}{detail} ttl={ttl}"

@@ -12,7 +12,10 @@ port, a shared :class:`MatchContext` computes per-packet facts once, and a
 ruleset-wide literal search (:mod:`.multipattern`) turns each rule's
 necessary-literal check into a set-membership test — candidate content
 rules are only *revived* when their anchor literal was actually seen in
-the payload.  ``RuleEngine(use_index=False)`` keeps the naive full-scan
+the payload, and rules whose pcre is a literal alternation only when
+one of its alternatives was (the regex then still runs).  Skipped pcre
+rules are not counted in ``rules_prefilter_skips_total``, which counts
+content rules.  ``RuleEngine(use_index=False)`` keeps the naive full-scan
 path alive as the semantic reference (see
 ``tests/rules/test_equivalence.py``), and ``prefilter="anchor"``/"none"
 keep the older per-rule strategies selectable.
@@ -312,14 +315,18 @@ class RuleEngine:
         anchor_check = False
         if self._mp is not None:
             # Multipattern fast path: one scan yields the present literal
-            # ids; only rules whose anchor literal was seen (plus the
-            # never-filterable ones) survive to full evaluation, merged
-            # back in ruleset order.
+            # ids; only rules whose anchor literal was seen, pcre rules
+            # with one of their any-of literals seen, and the
+            # never-filterable ones survive to full evaluation, merged
+            # back in ruleset order.  Skipped pcre rules are not counted
+            # as prefilter skips (that counter is for content rules).
             present = self._present_ids(ctx, update)
             if self._index is not None:
                 bucket = self._index.lookup(packet.protocol, ctx.dport, ctx.sport)
                 total = len(bucket.rules)
                 entries = bucket.always
+                any_of = bucket.any_of
+                anyof_skips = len(any_of)
                 if present:
                     by_anchor = bucket.by_anchor
                     revived = None
@@ -329,6 +336,12 @@ class RuleEngine:
                             if revived is None:
                                 revived = list(entries)
                             revived.extend(hit)
+                    for ids, entry in any_of:
+                        if not ids.isdisjoint(present):
+                            anyof_skips -= 1
+                            if revived is None:
+                                revived = list(entries)
+                            revived.append(entry)
                     if revived is not None:
                         revived.sort()
                         entries = revived
@@ -341,13 +354,21 @@ class RuleEngine:
                 ]
             else:
                 total = len(self.rules)
-                candidates = [
-                    rule
-                    for rule in self.rules
-                    if rule._mp_required is None or rule._mp_required <= present
-                ]
+                candidates = []
+                anyof_skips = 0
+                for rule in self.rules:
+                    required = rule._mp_required
+                    if required is not None:
+                        if required <= present:
+                            candidates.append(rule)
+                    elif rule._mp_anyof is None or not rule._mp_anyof.isdisjoint(
+                        present
+                    ):
+                        candidates.append(rule)
+                    else:
+                        anyof_skips += 1
             evaluated = total
-            prefilter_skips = total - len(candidates)
+            prefilter_skips = total - len(candidates) - anyof_skips
         elif self._index is not None:
             candidates = self._index.candidates(packet.protocol, ctx.dport, ctx.sport)
             evaluated = len(candidates)

@@ -18,11 +18,11 @@ that layer for the reproduction's engine:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP, ip_to_int_cached
 from .language import Rule
-from .multipattern import anchor_literal_id, required_literal_ids
+from .multipattern import anchor_literal_id, anyof_literal_ids, required_literal_ids
 from .reassembly import StreamUpdate
 
 __all__ = [
@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 _UNSET = object()
+
+#: ``_dynamic`` key stand-in for every destination port without a bucket of
+#: its own: those ports add no rules to a sport-merged bucket, so all the
+#: ephemeral ports a server answers share one
+_UNINDEXED_PORT = -1
 
 _PROTO_NUMBER = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP}
 
@@ -132,30 +137,36 @@ class MatchContext:
 class CompiledBucket:
     """One ordered candidate list, pre-split for the multipattern fast path.
 
-    ``always`` holds the (order, rule) entries with no required content
-    literal — they can never be literal-filtered.  Every other entry is
-    bucketed under its *anchor* literal id (the longest required needle),
-    so the engine only revives a content rule when its rarest literal was
-    actually seen in the payload; the full required-id subset check runs
-    afterwards.  Survivors merge back in ruleset order, which keeps pass
-    -rule suppression and threshold call sequences identical to the naive
-    scan.
+    ``always`` holds the (order, rule) entries with no literal to filter
+    on.  Content rules are bucketed under their *anchor* literal id (the
+    longest required needle), so the engine only revives a content rule
+    when its rarest literal was actually seen in the payload; the full
+    required-id subset check runs afterwards.  Rules whose pcre is a
+    literal alternation sit in ``any_of`` as ``(ids, entry)`` and are
+    revived, once, when their id set meets the present literals.
+    Survivors merge back in ruleset order, which keeps pass-rule
+    suppression and threshold call sequences identical to the naive scan.
     """
 
-    __slots__ = ("rules", "always", "by_anchor")
+    __slots__ = ("rules", "always", "by_anchor", "any_of")
 
     def __init__(self, ordered: List[Tuple[int, Rule]]) -> None:
         #: bare rules in ruleset order (the legacy ``candidates()`` shape)
         self.rules: List[Rule] = [rule for _order, rule in ordered]
         self.always: List[Tuple[int, Rule]] = []
         self.by_anchor: Dict[int, List[Tuple[int, Rule]]] = {}
+        self.any_of: List[Tuple[FrozenSet[int], Tuple[int, Rule]]] = []
         for order, rule in ordered:
             anchor = anchor_literal_id(rule)
             required_literal_ids(rule)  # warm the subset-check cache
-            if anchor is None:
+            if anchor is not None:
+                self.by_anchor.setdefault(anchor, []).append((order, rule))
+                continue
+            ids = anyof_literal_ids(rule)
+            if ids is None:
                 self.always.append((order, rule))
             else:
-                self.by_anchor.setdefault(anchor, []).append((order, rule))
+                self.any_of.append((ids, (order, rule)))
 
 
 class _ProtoTable:
@@ -206,8 +217,9 @@ class RuleDispatchIndex:
         #: table consulted for protocols other than tcp/udp/icmp — only
         #: ``ip`` rules can match those packets
         self._other = _ProtoTable()
-        #: (protocol, dport, sport) -> CompiledBucket memo for the dynamic
-        #: sport-merge path (bidirectional rules); cleared on add()
+        #: (protocol, dport or _UNINDEXED_PORT, sport) -> CompiledBucket
+        #: memo for the dynamic sport-merge path (bidirectional rules);
+        #: cleared on add()
         self._dynamic: Dict[Tuple[int, int, int], CompiledBucket] = {}
         self._size = 0
         if rules:
@@ -249,7 +261,8 @@ class RuleDispatchIndex:
         the packet's *source* port, so the sport bucket is consulted too.
         (Forward-only rules surfaced that way are harmless noise: the full
         header match still rejects them.)  The sport-merge combination is
-        built on first sight and memoized.
+        built on first sight and memoized, keyed on the dport only when it
+        has a bucket of its own.
         """
         table = self._tables.get(protocol, self._other)
         extra = table.port_rules.get(sport) if sport != dport else None
@@ -258,10 +271,11 @@ class RuleDispatchIndex:
             if bucket is not None:
                 return bucket
             return table.catch_all_compiled
-        key = (protocol, dport, sport)
+        own = table.port_rules.get(dport)
+        key = (protocol, _UNINDEXED_PORT if own is None else dport, sport)
         bucket = self._dynamic.get(key)
         if bucket is None:
-            parts = table.catch_all + table.port_rules.get(dport, []) + extra
+            parts = table.catch_all + (own or []) + extra
             seen = set()
             ordered = []
             for order, rule in sorted(parts):

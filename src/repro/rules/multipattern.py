@@ -47,9 +47,17 @@ Design:
 Soundness of the prefilter: every non-negated ``content`` must occur
 somewhere in the haystack for its rule to fire (``offset``/``depth`` only
 narrow the window), so a rule whose required ids are not all present can
-be skipped without evaluating headers or options.  Rules with no
-non-negated content (header-only, pcre-only, negated-only) have no
-required ids and are never filtered.
+be skipped without evaluating headers or options.  A rule with no
+non-negated content but a non-negated pcre that is a pure literal
+alternation (``/viagra|casino/i``: no regex metacharacter, no empty
+alternative) gets an *any-of* set instead (:func:`anyof_literal_ids`):
+the regex can only match where one of its alternatives occurs (lowered
+under ``/i``, whose bytes semantics fold ASCII exactly like
+``bytes.lower``), so the rule can be skipped when none of them is
+present.  Both filters are necessary conditions only — a surviving rule
+still runs every option, its regex included.  Rules with neither
+(header-only, negated-only, pcre-only with a real regex) are never
+filtered.
 """
 
 from __future__ import annotations
@@ -64,6 +72,8 @@ __all__ = [
     "literal_table_size",
     "required_literal_ids",
     "anchor_literal_id",
+    "pcre_literal_alternatives",
+    "anyof_literal_ids",
     "shared_automaton",
     "clear_automaton_cache",
 ]
@@ -144,6 +154,67 @@ def anchor_literal_id(rule) -> Optional[int]:
     return anchor
 
 
+_NO_IDS: FrozenSet[int] = frozenset()
+
+#: bytes that make a pcre alternative more than a plain literal (``|`` is
+#: the alternation split itself)
+_PCRE_META = frozenset(b"\\.^$*+?{}[]()")
+
+
+def pcre_literal_alternatives(pcre) -> Optional[Tuple[Tuple[bytes, bool], ...]]:
+    """The ``(needle, nocase)`` literals a pcre is an alternation of, or None.
+
+    Only a non-negated pattern whose ``|``-split alternatives are all
+    non-empty and free of regex metacharacters qualifies: it matches
+    exactly where one alternative occurs.  An escape (``\\|``), a group
+    or inline flag (``(?i)``), a class or quantifier, and an empty
+    alternative (``a||b`` matches everywhere) all disqualify it, as does
+    verbose mode, where whitespace in the pattern is not literal.
+    """
+    if pcre.negated or pcre.regex.flags & re.VERBOSE:
+        return None
+    alternatives = pcre.regex.pattern.split(b"|")
+    for alternative in alternatives:
+        if not alternative or not _PCRE_META.isdisjoint(alternative):
+            return None
+    if pcre.regex.flags & re.IGNORECASE:
+        return tuple((alternative.lower(), True) for alternative in alternatives)
+    return tuple((alternative, False) for alternative in alternatives)
+
+
+def anyof_literal_ids(rule) -> Optional[FrozenSet[int]]:
+    """Ids of which at least one must be present for ``rule`` to fire.
+
+    Only rules without required content literals get one (a content rule
+    is already filtered by its anchor): the literals of the rule's first
+    pcre that :func:`pcre_literal_alternatives` accepts.  Cached on the
+    rule as ``_mp_anyof``; None when the rule has no such pcre.
+    """
+    ids = getattr(rule, "_mp_anyof", False)
+    if ids is False:
+        ids = None
+        if required_literal_ids(rule) is None:
+            for pcre in rule.pcres:
+                literals = pcre_literal_alternatives(pcre)
+                if literals is not None:
+                    ids = frozenset(
+                        intern_literal(needle, nocase) for needle, nocase in literals
+                    )
+                    break
+        rule._mp_anyof = ids
+    return ids
+
+
+def _rule_literal_ids(rule) -> FrozenSet[int]:
+    """Every literal id the prefilter must see for ``rule``, caches warmed."""
+    required = required_literal_ids(rule)
+    anchor_literal_id(rule)
+    anyof = anyof_literal_ids(rule)
+    if anyof is not None:
+        return anyof
+    return required or _NO_IDS
+
+
 # -- shared automaton cache ----------------------------------------------------
 
 #: process-wide finalized automatons keyed by their literal-id set.  Sweep
@@ -163,23 +234,21 @@ def shared_automaton(rules: Iterable) -> "MultiPatternAutomaton":
     """A process-cached, finalized automaton over ``rules``' literals.
 
     The cache key is the sorted tuple of interned literal ids the rules
-    require — global interning dedupes ``(needle, nocase)`` pairs, so two
-    rulesets with identical literal content map to the same key even if
-    they interned in different orders.  On a miss the automaton is built,
+    require or offer as any-of alternatives — global interning dedupes
+    ``(needle, nocase)`` pairs, so two rulesets with identical literal
+    content map to the same key even if they interned in different orders.  On a miss the automaton is built,
     finalized immediately (so its version is stable from the first scan),
     and marked ``shared``; engines must treat a shared instance as
     immutable and replace it instead of extending it.
 
-    Per-rule caches (``_mp_required``/``_mp_anchor``) are warmed here even
-    on a hit, because hit-path callers skip :meth:`add_rules`.
+    Per-rule caches (``_mp_required``/``_mp_anchor``/``_mp_anyof``) are
+    warmed here even on a hit, because hit-path callers skip
+    :meth:`add_rules`.
     """
     rule_list = list(rules)
     ids: set = set()
     for rule in rule_list:
-        required = required_literal_ids(rule)
-        anchor_literal_id(rule)
-        if required:
-            ids.update(required)
+        ids.update(_rule_literal_ids(rule))
     key = tuple(sorted(ids))
     automaton = _AUTOMATON_CACHE.get(key)
     if automaton is None:
@@ -280,15 +349,11 @@ class MultiPatternAutomaton:
         return lid
 
     def add_rules(self, rules: Iterable) -> None:
-        """Register every required literal of ``rules`` (idempotent)."""
+        """Register every required and any-of literal of ``rules``
+        (idempotent; warms the per-rule caches)."""
         for rule in rules:
-            for content in rule.contents:
-                if content.negated or not content.pattern:
-                    continue
-                self.add_literal(content.needle(), content.nocase)
-            # warm the per-rule caches while we are here
-            required_literal_ids(rule)
-            anchor_literal_id(rule)
+            for lid in _rule_literal_ids(rule):
+                self.add_literal(*literal_of(lid))
 
     def _finalize(self) -> None:
         """Recompile the alternation and the first-byte buckets."""

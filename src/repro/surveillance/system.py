@@ -46,15 +46,18 @@ class SurveillanceSystem(Middlebox):
 
     The tap is *purely passive* — it returns ``Action.PASS`` for every
     packet regardless of what it records — so intake is decoupled from
-    analysis: ``process`` buffers ``(packet, time, size)`` and the full
+    analysis: ``process`` buffers ``(packet, time, size, ttl)`` and the full
     pipeline (rule engine via :meth:`RuleEngine.process_batch`, bot
     tracking, retention, MVR classification) runs over the batch when
     ``batch_size`` packets have accumulated or any query method is
     called.  Replay order inside a batch is exactly arrival order, so
     every stored record and counter is identical to per-packet
     processing — batching changes *when* the work happens, never the
-    result.  Query methods (and the metrics registry's flush hooks)
-    drain the buffer first, so observable state is always current.
+    result.  The packet object itself keeps travelling while it waits,
+    and routers downstream decrement its ``ttl``, so intake records the
+    TTL and stored content summaries use that value.  Query methods (and
+    the metrics registry's flush hooks) drain the buffer first, so
+    observable state is always current.
     """
 
     name = "surveillance"
@@ -128,9 +131,9 @@ class SurveillanceSystem(Middlebox):
         #: intentionally touching censored content (paper Section 3.1).
         self.bot_suppression_window = 300.0
         self._bot_sightings: Dict[str, List[float]] = {}
-        #: intake buffer: (packet, arrival time, wire size) awaiting the
-        #: batched pipeline run
-        self._batch: List[Tuple[IPPacket, float, int]] = []
+        #: intake buffer: (packet, arrival time, wire size, intake TTL)
+        #: awaiting the batched pipeline run
+        self._batch: List[Tuple[IPPacket, float, int, int]] = []
         if obs is not None:
             # Any registry read drains the buffer first, so mvr_* counters
             # are exact no matter where a batch boundary fell.
@@ -146,7 +149,7 @@ class SurveillanceSystem(Middlebox):
         # wire_length() gives the serialized size without materializing (and
         # checksumming) the wire bytes for every transit packet.
         batch = self._batch
-        batch.append((packet, ctx.now, packet.wire_length()))
+        batch.append((packet, ctx.now, packet.wire_length(), packet.ttl))
         if len(batch) >= self.batch_size:
             self.flush()
         return Action.PASS
@@ -160,10 +163,12 @@ class SurveillanceSystem(Middlebox):
         alert_lists = self.engine.process_batch(
             [item[0] for item in batch], [item[1] for item in batch]
         )
-        for (packet, now, size), alerts in zip(batch, alert_lists):
-            self._ingest(packet, now, size, alerts)
+        for (packet, now, size, ttl), alerts in zip(batch, alert_lists):
+            self._ingest(packet, now, size, ttl, alerts)
 
-    def _ingest(self, packet: IPPacket, now: float, size: int, alerts) -> None:
+    def _ingest(
+        self, packet: IPPacket, now: float, size: int, ttl: int, alerts
+    ) -> None:
         self.store.observe_volume(size)
         obs = self._obs
         if obs is not None:
@@ -217,7 +222,7 @@ class SurveillanceSystem(Middlebox):
                 src=packet.src,
                 dst=packet.dst,
                 size=size,
-                summary=packet.summary(),
+                summary=packet.summary(ttl),
             )
         )
         flow_key = canonical_flow(packet)

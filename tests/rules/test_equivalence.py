@@ -1,8 +1,9 @@
 """Semantic equivalence of every engine fast path and the naive full scan.
 
 The dispatch index, MatchContext sharing, the literal prefilters (per-rule
-anchor scan and the ruleset-wide Aho–Corasick pass), and batched
-evaluation are pure optimizations: for any packet trace they must produce
+anchor scan and the ruleset-wide compiled literal search, which also
+filters literal-alternation pcres), and batched evaluation are pure
+optimizations: for any packet trace they must produce
 *identical* alert sequences (same alerts, same order, pass-rule
 suppression intact) to ``RuleEngine(use_index=False, prefilter="none")``,
 which still runs the original rule-by-rule scan.  Two traces exercise

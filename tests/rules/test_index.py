@@ -1,8 +1,11 @@
 """Unit tests for the rule dispatch index and its supporting machinery."""
 
-from repro.packets import ICMPMessage, IPPacket, PSH, ACK, SYN, TCPSegment, UDPDatagram
+from repro.packets import (
+    ICMPMessage, IPPacket, PROTO_TCP, PSH, ACK, SYN, TCPSegment, UDPDatagram,
+)
 from repro.rules import MatchContext, RuleDispatchIndex, RuleEngine, parse_ruleset
 from repro.rules.engine import _ThresholdState
+from repro.rules.index import CompiledBucket
 from repro.rules.language import ThresholdSpec
 
 
@@ -62,6 +65,31 @@ def test_bidirectional_rule_reachable_via_source_port():
     assert 9 in sids
     # Order numbers keep the merged list in ruleset order.
     assert sids == sorted(sids)
+
+
+def test_ephemeral_dports_share_one_sport_merged_bucket():
+    """Replies from an indexed server port to fresh ephemeral ports all
+    reuse one sport-merged bucket, with the candidates the raw
+    ``(protocol, dport, sport)`` key would have produced."""
+    index = RuleDispatchIndex(_rules(RULESET))
+    table = index._tables[PROTO_TCP]
+    buckets = [index.lookup(PROTO_TCP, port, 4444) for port in range(40000, 40300)]
+    assert len({id(bucket) for bucket in buckets}) == 1
+    assert len(index._dynamic) == 1
+    for port in (40000, 40299):
+        raw = {order: rule for order, rule in
+               table.catch_all + table.port_rules.get(port, []) + table.port_rules[4444]}
+        expected = CompiledBucket(sorted(raw.items()))
+        got = index.lookup(PROTO_TCP, port, 4444)
+        assert [r.sid for r in got.rules] == [r.sid for r in expected.rules]
+        assert got.always == expected.always
+        assert got.by_anchor == expected.by_anchor
+        assert got.any_of == expected.any_of
+    # a dport with a bucket of its own still gets its own merge
+    own = index.lookup(PROTO_TCP, 80, 4444)
+    assert own is not buckets[0]
+    assert [r.sid for r in own.rules] == [1, 3, 4, 7, 9]
+    assert len(index._dynamic) == 2
 
 
 def test_udp_and_icmp_tables_are_separate():

@@ -8,6 +8,7 @@ registry's flush hooks), and the byte-accounting properties must always
 reflect every packet the tap was handed.
 """
 
+from repro.core.evaluation import build_environment
 from repro.netsim.middlebox import TapContext
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.packets import ACK, IPPacket, PSH, SYN, TCPSegment, UDPDatagram
@@ -147,3 +148,41 @@ class TestPartialBufferDraining:
             assert not surv._batch
             values = snapshot["instruments"]["mvr_packets_ingested_total"]["values"]
             assert sum(value for _labels, value in values) == 3
+
+
+def _population_store(batch_size, users=300, duration=3.0, seed=3):
+    """A censored-AS population run with the MVR at ``batch_size``."""
+    env = build_environment(censored=True, seed=seed, synthetic_users=users)
+    surv = env.surveillance
+    surv.batch_size = batch_size
+    env.population.start(duration)
+    env.run(duration=duration + 2.0)
+    summary = surv.summary()
+    store = surv.store
+    return {
+        "summary": summary,
+        "content": [
+            (r.time, r.src, r.dst, r.size, r.summary) for r in store.content
+        ],
+        "alerts": [
+            (s.time, s.alert.sid, s.alert.src, s.alert.dst, s.user, s.origin_ip)
+            for s in store.alerts
+        ],
+        "flows": [
+            (key, f.first_seen, f.last_seen, f.packets, f.bytes)
+            for key, f in store.flows.items()
+        ],
+    }
+
+
+class TestPopulationBatchInvariance:
+    def test_batch_size_one_equals_default_on_a_population_run(self):
+        """Routers downstream of the tap decrement the buffered packet's
+        TTL before the batch runs; the retained summaries must still
+        carry the TTL the tap saw."""
+        default = _population_store(SurveillanceSystem.batch_size)
+        single = _population_store(1)
+        assert default["content"], "the run must retain content"
+        assert any("ttl=" in row[4] for row in default["content"])
+        for key in ("summary", "content", "alerts", "flows"):
+            assert single[key] == default[key], key
