@@ -281,6 +281,7 @@ def test_a7_sampling_beats_single_shot_under_loss(benchmark):
     """
 
     from repro.core import OvertHTTPMeasurement
+    from repro.netsim import IndependentLoss
 
     def run():
         rows = []
@@ -294,7 +295,7 @@ def test_a7_sampling_beats_single_shot_under_loss(benchmark):
                 # Make the international hop lossy.
                 for link in env.topo.network.links:
                     if link.connects(env.topo.border_router, env.topo.transit_router):
-                        link.loss = loss
+                        link.impair([IndependentLoss(loss)])
                 overt = OvertHTTPMeasurement(env.ctx, ["example.org"])
                 # Censorship is deterministic (~100 % of samples fail)
                 # while loss is stochastic, so the sampled method can use

@@ -295,23 +295,19 @@ def _bench_rule_engine_batch() -> tuple:
     return batch, len(packets), "packets", 80
 
 
-def _bench_rule_engine_construct_cached() -> tuple:
-    """Full engine construction with a warm shared-automaton cache.
+def _bench_rule_engine_construct() -> tuple:
+    """Cold engine construction, as every censored-as sweep point pays it.
 
-    This is the per-point construction cost a sweep worker actually pays:
-    the process pool reuses workers across points, so after the first
-    point of a ruleset the literal automaton comes from the process-wide
-    cache (``shared_automaton``) and construction skips the literal
-    collection and alternation compile that ``multipattern_build`` prices.
-    Rules are pre-parsed so the number isolates engine assembly (index,
-    automaton lookup, obs wiring) rather than ruleset text parsing."""
-    from repro.rules import parse_ruleset
-
-    rules = parse_ruleset(full_ruleset_text(), variables=DEFAULT_VARIABLES)
-    RuleEngine(rules=rules, variables=DEFAULT_VARIABLES)  # warm the cache
+    Each point parses its ruleset text and builds fresh engines: rule
+    parsing, the dispatch index, and the engine's own literal automaton,
+    finalized here as the first scan would finalize it.  The alternation
+    compile itself is a hit in ``re``'s pattern cache after the first
+    build, as it is in a sweep worker."""
+    text = full_ruleset_text()
 
     def batch():
-        RuleEngine(rules=rules, variables=DEFAULT_VARIABLES)
+        engine = RuleEngine.from_text(text, variables=DEFAULT_VARIABLES)
+        engine._mp.ensure_ready()
 
     return batch, 1, "builds", 1
 
@@ -569,23 +565,19 @@ def _bench_link_forward_impaired_instrumented() -> tuple:
 def _sweep_grid16_spec():
     """16-point scenario grid shared by the sweep benches.
 
-    ``sweep_serial_grid16``, ``sweep_workers4_grid16`` (static
-    round-robin shards), and ``sweep_stealing_grid16`` (shared-queue
-    work stealing) run the *same* grid, so their ratios are the
-    multi-worker speedups on this host.  On a single-core container the
-    three converge (the process pool adds fork overhead but no
+    ``sweep_serial_grid16`` and ``sweep_stealing_grid16`` (a 4-worker
+    work-stealing pool) run the *same* grid, so their ratio is the
+    multi-worker speedup on this host.  On a single-core container the
+    two converge (the process pool adds fork overhead but no
     parallelism); on a multi-core machine — e.g. the CI runners — the
-    pooled modes pull ahead roughly linearly until the core count or
-    the largest single point dominates, with stealing >= round-robin on
-    skewed grids.  ``sweep_resume_grid16`` resumes the grid from a
-    half-complete journal, so it prices the campaign-restore path:
-    half the points replay from disk, half execute.
+    pool pulls ahead roughly linearly until the core count or the
+    largest single point dominates.  ``sweep_resume_grid16`` resumes
+    the grid from a half-complete journal, so it prices the
+    campaign-restore path: half the points replay from disk, half
+    execute.
 
-    Every point in this grid builds rule engines over the same rulesets;
-    because pool workers persist across points, the process-wide shared
-    automaton cache means only each worker's *first* point pays the
-    multipattern build — later points reuse the finalized automaton
-    (``rule_engine_construct_cached`` prices the reused path).
+    Every point in this grid builds its rule engines from scratch
+    (``rule_engine_construct`` prices one such build).
     """
     from repro.runner import SweepSpec
 
@@ -607,22 +599,12 @@ def _bench_sweep_serial_grid16() -> tuple:
     return lambda: SweepRunner(spec, serial=True).run(), len(spec), "points", 0
 
 
-def _bench_sweep_workers4_grid16() -> tuple:
-    from repro.runner import SweepRunner
-
-    spec = _sweep_grid16_spec()
-    return (
-        lambda: SweepRunner(spec, workers=4, dispatch="round-robin").run(),
-        len(spec), "points", 0,
-    )
-
-
 def _bench_sweep_stealing_grid16() -> tuple:
     from repro.runner import SweepRunner
 
     spec = _sweep_grid16_spec()
     return (
-        lambda: SweepRunner(spec, workers=4, dispatch="stealing").run(),
+        lambda: SweepRunner(spec, workers=4).run(),
         len(spec), "points", 0,
     )
 
@@ -802,7 +784,7 @@ HOT_PATHS = {
     "packet_roundtrip_cached": _bench_packet_roundtrip_cached,
     "capture_serialize": _bench_capture_serialize,
     "rule_engine_full_ruleset": _bench_rule_engine_full_ruleset,
-    "rule_engine_construct_cached": _bench_rule_engine_construct_cached,
+    "rule_engine_construct": _bench_rule_engine_construct,
     "rule_engine_full_instrumented": _bench_rule_engine_full_instrumented,
     "rule_engine_batch": _bench_rule_engine_batch,
     "multipattern_build": _bench_multipattern_build,
@@ -817,7 +799,6 @@ HOT_PATHS = {
     "link_forward_impaired": _bench_link_forward_impaired,
     "link_forward_impaired_instrumented": _bench_link_forward_impaired_instrumented,
     "sweep_serial_grid16": _bench_sweep_serial_grid16,
-    "sweep_workers4_grid16": _bench_sweep_workers4_grid16,
     "sweep_stealing_grid16": _bench_sweep_stealing_grid16,
     "sweep_resume_grid16": _bench_sweep_resume_grid16,
     "censor_dispatch": _bench_censor_dispatch,
@@ -874,8 +855,20 @@ def run_all(min_seconds: float = MIN_SECONDS) -> dict:
     return results
 
 
+def baseline_mismatch(baseline: dict) -> tuple:
+    """``(unbaselined, stale)``: benches in ``HOT_PATHS`` with no baseline
+    entry, and baseline entries naming no bench.  Both must be empty for
+    ``--check`` to mean anything — a renamed or deleted bench would
+    otherwise drop out of the comparison without a word."""
+    benches = set(HOT_PATHS)
+    baselined = set(baseline.get("hot_paths", {}))
+    return sorted(benches - baselined), sorted(baselined - benches)
+
+
 def check(current: dict, baseline: dict, tolerance: float) -> list:
-    """Return [(name, baseline_ops, current_ops, ratio)] for regressions."""
+    """Return [(name, baseline_ops, current_ops, ratio)] for regressions
+    among the benches both ``current`` and ``baseline`` name (see
+    :func:`baseline_mismatch` for the rest)."""
     regressions = []
     for name, entry in baseline.get("hot_paths", {}).items():
         if name not in current:
@@ -912,6 +905,12 @@ def main(argv=None) -> int:
             print(f"\nno baseline at {args.json}; run with --update first", file=sys.stderr)
             return 2
         baseline = json.loads(args.json.read_text())
+        unbaselined, stale = baseline_mismatch(baseline)
+        if unbaselined or stale:
+            print(f"\nBASELINE MISMATCH with {args.json}: no baseline for "
+                  f"{unbaselined or 'none'}; no bench for {stale or 'none'} "
+                  "(rerun with --update)")
+            status = 1
         regressions = check(current, baseline, args.tolerance)
         # A single-shot reading can dip on a loaded machine (these paths run
         # back to back on one core); re-measure just the flagged paths and
@@ -958,16 +957,15 @@ def main(argv=None) -> int:
             "note": (
                 "ops/sec per hot path, measured by benchmarks/perf_guard.py; "
                 "machine-relative — regenerate with --update when hardware changes. "
-                "The sweep_* benches share one grid: workers4/serial and "
-                "stealing/serial are the multi-worker speedups, meaningful "
-                "only when cpus > 1; resume replays half the grid from a "
-                "campaign journal.  Sweep workers share one process-cached "
-                "literal automaton (a compiled alternation over the folded "
-                "literals) per ruleset: multipattern_build prices a cold "
-                "build, rule_engine_construct_cached a warm-cache engine "
-                "construction, and multipattern_stream_scan the per-segment "
-                "stream prefilter; rule_engine_smtp_stream runs the MVR "
-                "rulesets over a spam-free SMTP conversation, where the spam "
+                "The sweep_* benches share one grid: stealing/serial is the "
+                "multi-worker speedup, meaningful only when cpus > 1; resume "
+                "replays half the grid from a campaign journal.  Each engine "
+                "builds its own literal automaton (a compiled alternation "
+                "over the folded literals): multipattern_build prices that "
+                "build, rule_engine_construct a sweep point's cold engine "
+                "construction from ruleset text, and multipattern_stream_scan "
+                "the per-segment stream prefilter; rule_engine_smtp_stream "
+                "runs the MVR rulesets over a spam-free SMTP conversation, where the spam "
                 "rule's literal-alternation pcre is filtered by the same "
                 "prefilter.  The population_* pair's ratio is the "
                 "tiered-fidelity speedup gate."

@@ -168,7 +168,6 @@ class ThrottlingCensor(CensorModel):
         bytes_per_sec: float = 512.0,
         max_queue_bytes: int = 2048,
         stream_depth: int = 8192,
-        prefilter: str = "auto",
     ) -> None:
         super().__init__(policy)
         if bytes_per_sec <= 0:
@@ -179,7 +178,6 @@ class ThrottlingCensor(CensorModel):
         self.bytes_per_sec = bytes_per_sec
         self.max_queue_bytes = max_queue_bytes
         self.stream_depth = stream_depth
-        self.prefilter = prefilter
         self.throttle_drops = 0
         self.throttled_packets = 0
         #: canonical flow key -> this flow's dedicated shaper state
@@ -193,12 +191,11 @@ class ThrottlingCensor(CensorModel):
             return RuleEngine(
                 rules=[], variables=self._variables,
                 stream_depth=self.stream_depth, obs_label="censor",
-                prefilter=self.prefilter,
             )
         return RuleEngine.from_text(
             censor_ruleset_text(keywords, domains),
             variables=self._variables, stream_depth=self.stream_depth,
-            obs_label="censor", prefilter=self.prefilter,
+            obs_label="censor",
         )
 
     def set_policy(self, policy: CensorshipPolicy) -> None:

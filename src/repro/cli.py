@@ -238,7 +238,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     point to ``PREFIX.journal.jsonl`` as it completes.  While the
     campaign is in flight, ``PREFIX.partial.json`` holds an atomically
     rewritten progress document.  The final files are byte-identical for
-    any worker count, dispatch mode, or number of kill/``--resume``
+    any worker count, scheduling order, or number of kill/``--resume``
     cycles — the report deliberately contains no execution metadata — so
     ``--serial`` output can be ``cmp``-ed against a ``--workers N`` or
     kill-then-resume run (the CI smoke jobs do exactly that).
@@ -273,7 +273,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         serial=args.serial,
         max_point_retries=args.point_retries,
-        dispatch=args.dispatch,
         store=store,
         partial_path=f"{prefix}.partial.json",
         partial_every=args.partial_every,
@@ -298,7 +297,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if runner.serial:
         mode = "serial"
     else:
-        mode = f"{args.workers} workers ({args.dispatch})"
+        mode = f"{args.workers} workers"
     records = summary["records"]
     rows = [
         ["spec", spec.name],
@@ -528,10 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (default 1)")
     sweep.add_argument("--serial", action="store_true",
                        help="run every point in-process (no pool)")
-    sweep.add_argument("--dispatch", choices=("stealing", "round-robin"),
-                       default="stealing",
-                       help="pool dispatch: shared work-stealing queue "
-                            "(default) or static round-robin shards")
     sweep.add_argument("--point-retries", type=int, default=1, metavar="N",
                        help="retries per failing point before marking it failed")
     sweep.add_argument("--out", default="sweep", metavar="PREFIX",

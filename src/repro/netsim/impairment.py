@@ -140,7 +140,14 @@ class ImpairmentModel:
 
 
 class IndependentLoss(ImpairmentModel):
-    """Bernoulli per-packet loss (the legacy ``Link(loss=...)`` model)."""
+    """Bernoulli per-packet loss: each packet drops independently with
+    probability ``rate``, one ``rng.random()`` draw per packet.
+
+    The memoryless "this path is dirty" model.  Loss surfaces as timeouts
+    unless the stack retransmits, exactly the confound that makes
+    single-shot probes unreliable and repeated sampling worthwhile (paper
+    Method #3); :class:`GilbertElliottLoss` is the bursty alternative.
+    """
 
     def __init__(self, rate: float) -> None:
         if not 0.0 <= rate < 1.0:

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 from ..obs.metrics import active_or_none
 from .impairment import (
     DELIVER_CLEAN,
-    DROPPED,
     ImpairedPath,
     ImpairmentModel,
     PacketFate,
@@ -114,6 +113,9 @@ class _LinkCounters:
             "Delivered copies (duplicates included) per link direction",
             ("link", "direction"),
         )
+        # The help text is part of every metrics snapshot, so it keeps its
+        # original wording (which still names a drop reason no link emits
+        # any more) to leave snapshot bytes unchanged.
         self.dropped = registry.counter(
             "link_packets_dropped_total",
             "Drops per link direction, labeled by the impairment that "
@@ -191,29 +193,20 @@ class Link:
         a: "Node",
         b: "Node",
         latency: float = 0.001,
-        loss: float = 0.0,
         seed: int = 0,
     ) -> None:
         if latency < 0:
             raise ValueError("latency must be non-negative")
-        if not 0.0 <= loss < 1.0:
-            raise ValueError("loss must be in [0, 1)")
         self.a = a
         self.b = b
         self.latency = latency
-        #: Independent per-packet drop probability, applied before any
-        #: impairment pipeline — the simple knob for "this path is dirty".
-        #: Loss surfaces as timeouts unless the stack retransmits, exactly
-        #: the confound that makes single-shot probes unreliable and
-        #: repeated sampling worthwhile (paper Method #3).
-        self.loss = loss
         self.seed = seed
         self.stats: Dict[str, DirectionStats] = {
             direction: DirectionStats() for direction in DIRECTIONS
         }
-        #: direction -> drop reason -> drops: the impairment model's class
-        #: name, or ``legacy_loss`` for the flat loss knob.  Sums to each
-        #: direction's ``packets_lost``.
+        #: direction -> drop reason -> drops, keyed by the class name of
+        #: the impairment model that dropped.  Sums to each direction's
+        #: ``packets_lost``.
         self.drops: Dict[str, Dict[str, int]] = {
             direction: {} for direction in DIRECTIONS
         }
@@ -300,10 +293,6 @@ class Link:
         """
         stats = self.stats[direction]
         stats.packets_offered += 1
-        if self.loss and self._rng[direction].random() < self.loss:
-            stats.packets_lost += 1
-            self._tally_drop(direction, "legacy_loss")
-            return DROPPED
         path = self._paths[direction]
         if path is None:
             stats.packets_carried += 1

@@ -91,7 +91,7 @@ class Network:
         return node
 
     def connect(
-        self, a: Node, b: Node, latency: Optional[float] = None, loss: float = 0.0
+        self, a: Node, b: Node, latency: Optional[float] = None
     ) -> Link:
         """Create a bidirectional link between two attached nodes."""
         for node in (a, b):
@@ -101,7 +101,6 @@ class Network:
             a,
             b,
             latency if latency is not None else self.default_latency,
-            loss=loss,
             # Each link gets its own RNG stream derived from the simulation
             # seed and its ordinal, so impairments are deterministic without
             # consuming (and thereby perturbing) the simulator's shared rng.

@@ -15,10 +15,9 @@ rules are only *revived* when their anchor literal was actually seen in
 the payload, and rules whose pcre is a literal alternation only when
 one of its alternatives was (the regex then still runs).  Skipped pcre
 rules are not counted in ``rules_prefilter_skips_total``, which counts
-content rules.  ``RuleEngine(use_index=False)`` keeps the naive full-scan
-path alive as the semantic reference (see
-``tests/rules/test_equivalence.py``), and ``prefilter="anchor"``/"none"
-keep the older per-rule strategies selectable.
+content rules.  ``RuleEngine(use_index=False)`` is the naive full-scan
+oracle — every rule, no literal prefilter — that the equivalence suites
+check the fast path against (see ``tests/rules/test_equivalence.py``).
 
 Observability on the hot path is *batched*: per-packet counter deltas
 accumulate in plain engine-local ints/dicts and fold into the registry
@@ -38,18 +37,12 @@ from ..obs.trace import active_tracer
 from ..packets import IPPacket, PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from .index import MatchContext, RuleDispatchIndex
 from .language import Rule, ThresholdSpec, parse_ruleset
-from .multipattern import MultiPatternAutomaton, StreamScanState, shared_automaton
+from .multipattern import MultiPatternAutomaton, StreamScanState
 from .reassembly import StreamReassembler, StreamUpdate
 
-__all__ = ["Alert", "RuleEngine", "PREFILTER_MODES"]
+__all__ = ["Alert", "RuleEngine"]
 
 _PROTO_OF = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP}
-
-#: Literal-prefilter strategies: "multipattern" is the ruleset-wide
-#: literal search, "anchor" the legacy per-rule ``needle in hay`` check,
-#: "none" disables literal filtering entirely.  "auto" resolves to
-#: multipattern on the indexed path and "none" on the naive reference path.
-PREFILTER_MODES = ("auto", "multipattern", "anchor", "none")
 
 _EMPTY_IDS: frozenset = frozenset()
 
@@ -159,7 +152,6 @@ class RuleEngine:
         overlap_policy: str = "first",
         use_index: bool = True,
         obs_label: str = "engine",
-        prefilter: str = "auto",
         obs_flush_interval: int = 64,
         trace_sample_interval: int = 64,
     ) -> None:
@@ -172,23 +164,14 @@ class RuleEngine:
         self.packets_processed = 0
         self._thresholds = _ThresholdState()
         self.use_index = use_index
-        if prefilter not in PREFILTER_MODES:
-            raise ValueError(f"prefilter must be one of {PREFILTER_MODES}")
-        if prefilter == "auto":
-            prefilter = "multipattern" if use_index else "none"
-        self.prefilter = prefilter
-        self._index: Optional[RuleDispatchIndex] = (
-            RuleDispatchIndex(self.rules) if use_index else None
-        )
-        #: the ruleset's literal automaton — the process-cached shared
-        #: instance when one exists for this literal set.  Sweep workers
-        #: construct an engine per point over the same handful of
-        #: rulesets; the cache turns every rebuild after the first into a
-        #: dictionary lookup (see ``shared_automaton``).  ``add_rules``
-        #: copies-on-write before extending a shared instance.
+        #: the dispatch index and this engine's own literal automaton;
+        #: both None on the ``use_index=False`` oracle path
+        self._index: Optional[RuleDispatchIndex] = None
         self._mp: Optional[MultiPatternAutomaton] = None
-        if prefilter == "multipattern":
-            self._mp = shared_automaton(self.rules)
+        if use_index:
+            self._index = RuleDispatchIndex(self.rules)
+            self._mp = MultiPatternAutomaton()
+            self._mp.add_rules(self.rules)
         self._by_sid: Dict[int, Rule] = {rule.sid: rule for rule in self.rules}
         # Observability, resolved once; ``obs_label`` distinguishes the
         # censor's engine from the MVR's in shared registry counters.
@@ -254,7 +237,6 @@ class RuleEngine:
         overlap_policy: str = "first",
         use_index: bool = True,
         obs_label: str = "engine",
-        prefilter: str = "auto",
     ) -> "RuleEngine":
         variables = dict(variables or {})
         return cls(
@@ -264,7 +246,6 @@ class RuleEngine:
             overlap_policy=overlap_policy,
             use_index=use_index,
             obs_label=obs_label,
-            prefilter=prefilter,
         )
 
     def add_rules(self, ruleset_text: str) -> None:
@@ -272,27 +253,11 @@ class RuleEngine:
         self.rules.extend(added)
         if self._index is not None:
             self._index.add(added)
-        if self._mp is not None:
-            if self._mp.shared:
-                # Copy-on-write: the automaton is the process-wide shared
-                # instance for this literal set, and extending it in place
-                # would mutate every sibling engine built from the same
-                # ruleset.  Build a private replacement over the full
-                # (already-extended) ruleset, seeded with the shared
-                # instance's version so the replacement's post-finalize
-                # version strictly exceeds any per-flow scan state saved
-                # against the old automaton — those states rescan on
-                # their next packet instead of resuming a stale scan.
-                replacement = MultiPatternAutomaton()
-                replacement.version = self._mp.version
-                replacement.add_rules(self.rules)
-                self._mp = replacement
-            else:
-                # Extends the literal table in place; the next scan
-                # recompiles the alternation and bumps the version, which
-                # invalidates every saved per-flow scan state (they rescan
-                # against the new automaton on the next packet).
-                self._mp.add_rules(added)
+            # Extends the literal table in place; the next scan recompiles
+            # the alternation and bumps the version, which invalidates
+            # every saved per-flow scan state (they rescan against the new
+            # automaton on the next packet).
+            self._mp.add_rules(added)
         for rule in added:
             self._by_sid[rule.sid] = rule
             if self._obs is not None:
@@ -311,85 +276,54 @@ class RuleEngine:
             self.reassembler.feed_tcp(packet, tcp, now) if tcp is not None else None
         )
         ctx = MatchContext(packet, update, tcp=tcp)
-        prefilter_skips = 0
-        anchor_check = False
-        if self._mp is not None:
-            # Multipattern fast path: one scan yields the present literal
-            # ids; only rules whose anchor literal was seen, pcre rules
-            # with one of their any-of literals seen, and the
-            # never-filterable ones survive to full evaluation, merged
-            # back in ruleset order.  Skipped pcre rules are not counted
-            # as prefilter skips (that counter is for content rules).
+        if self._index is not None:
+            # Fast path: one literal scan yields the present literal ids;
+            # only rules whose anchor literal was seen, pcre rules with
+            # one of their any-of literals seen, and the never-filterable
+            # ones survive to full evaluation, merged back in ruleset
+            # order.  Skipped pcre rules are not counted as prefilter
+            # skips (that counter is for content rules).
             present = self._present_ids(ctx, update)
-            if self._index is not None:
-                bucket = self._index.lookup(packet.protocol, ctx.dport, ctx.sport)
-                total = len(bucket.rules)
-                entries = bucket.always
-                any_of = bucket.any_of
-                anyof_skips = len(any_of)
-                if present:
-                    by_anchor = bucket.by_anchor
-                    revived = None
-                    for lid in present:
-                        hit = by_anchor.get(lid)
-                        if hit is not None:
-                            if revived is None:
-                                revived = list(entries)
-                            revived.extend(hit)
-                    for ids, entry in any_of:
-                        if not ids.isdisjoint(present):
-                            anyof_skips -= 1
-                            if revived is None:
-                                revived = list(entries)
-                            revived.append(entry)
-                    if revived is not None:
-                        revived.sort()
-                        entries = revived
-                # The anchor hit revived the rule; the frozenset subset
-                # test enforces the *rest* of its required literals.
-                candidates = [
-                    rule
-                    for _order, rule in entries
-                    if rule._mp_required is None or rule._mp_required <= present
-                ]
-            else:
-                total = len(self.rules)
-                candidates = []
-                anyof_skips = 0
-                for rule in self.rules:
-                    required = rule._mp_required
-                    if required is not None:
-                        if required <= present:
-                            candidates.append(rule)
-                    elif rule._mp_anyof is None or not rule._mp_anyof.isdisjoint(
-                        present
-                    ):
-                        candidates.append(rule)
-                    else:
-                        anyof_skips += 1
-            evaluated = total
-            prefilter_skips = total - len(candidates) - anyof_skips
-        elif self._index is not None:
-            candidates = self._index.candidates(packet.protocol, ctx.dport, ctx.sport)
-            evaluated = len(candidates)
-            anchor_check = self.prefilter == "anchor"
+            bucket = self._index.lookup(packet.protocol, ctx.dport, ctx.sport)
+            evaluated = len(bucket.rules)
+            entries = bucket.always
+            any_of = bucket.any_of
+            anyof_skips = len(any_of)
+            if present:
+                by_anchor = bucket.by_anchor
+                revived = None
+                for lid in present:
+                    hit = by_anchor.get(lid)
+                    if hit is not None:
+                        if revived is None:
+                            revived = list(entries)
+                        revived.extend(hit)
+                for ids, entry in any_of:
+                    if not ids.isdisjoint(present):
+                        anyof_skips -= 1
+                        if revived is None:
+                            revived = list(entries)
+                        revived.append(entry)
+                if revived is not None:
+                    revived.sort()
+                    entries = revived
+            # The anchor hit revived the rule; the frozenset subset test
+            # enforces the *rest* of its required literals.
+            candidates = [
+                rule
+                for _order, rule in entries
+                if rule._mp_required is None or rule._mp_required <= present
+            ]
+            prefilter_skips = evaluated - len(candidates) - anyof_skips
         else:
             candidates = self.rules
             evaluated = len(candidates)
-            anchor_check = self.prefilter == "anchor"
+            prefilter_skips = 0
         passed = False
         matches: List[Alert] = []
         for rule in candidates:
             if not self._header_matches(rule, packet, ctx):
                 continue
-            if anchor_check:
-                anchor = rule.anchor_literal()
-                if anchor is not None:
-                    needle, nocase = anchor
-                    hay = ctx.lower_haystack if nocase else ctx.haystack
-                    if needle not in hay:
-                        prefilter_skips += 1
-                        continue  # a necessary literal is absent
             if not self._options_match(rule, packet, update, ctx):
                 continue
             if rule.action == "pass":

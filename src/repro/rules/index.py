@@ -151,7 +151,7 @@ class CompiledBucket:
     __slots__ = ("rules", "always", "by_anchor", "any_of")
 
     def __init__(self, ordered: List[Tuple[int, Rule]]) -> None:
-        #: bare rules in ruleset order (the legacy ``candidates()`` shape)
+        #: bare rules in ruleset order
         self.rules: List[Rule] = [rule for _order, rule in ordered]
         self.always: List[Tuple[int, Rule]] = []
         self.by_anchor: Dict[int, List[Tuple[int, Rule]]] = {}
@@ -285,10 +285,6 @@ class RuleDispatchIndex:
             bucket = CompiledBucket(ordered)
             self._dynamic[key] = bucket
         return bucket
-
-    def candidates(self, protocol: int, dport: int, sport: int) -> List[Rule]:
-        """Ordered candidate rules (the compiled bucket, stripped)."""
-        return self.lookup(protocol, dport, sport).rules
 
 
 def _enumerable_ports(rule: Rule) -> Optional[List[int]]:

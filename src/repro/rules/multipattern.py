@@ -39,6 +39,12 @@ Design:
   byte is searched at most ``maxlen`` times per flow lifetime, not once
   per packet.  One-shot and stream scans share the same search loop.
 
+- **One automaton per engine.**  Each indexed :class:`RuleEngine` builds
+  its own automaton, and :meth:`RuleEngine.add_rules` extends it in
+  place.  A cold build is a literal walk plus one ``re.compile``, and
+  ``re`` itself caches the compiled alternation, so engines rebuilt per
+  sweep point over the same ruleset pay little for it.
+
 - **Version fence.**  ``version`` increments on every finalize (the
   first scan after literals were added).  Saved :class:`StreamScanState`
   ``present`` sets carry the version they were built under, so a ruleset
@@ -74,8 +80,6 @@ __all__ = [
     "anchor_literal_id",
     "pcre_literal_alternatives",
     "anyof_literal_ids",
-    "shared_automaton",
-    "clear_automaton_cache",
 ]
 
 # -- global literal interning --------------------------------------------------
@@ -136,8 +140,7 @@ def anchor_literal_id(rule) -> Optional[int]:
 
     The longest literal is the least likely to occur by chance, so bucketing
     a rule under it minimizes spurious candidate revivals (the same
-    heuristic behind the existing ``anchor_literal`` and Snort's
-    fast-pattern selection).
+    heuristic behind Snort's fast-pattern selection).
     """
     anchor = getattr(rule, "_mp_anchor", False)
     if anchor is False:
@@ -215,63 +218,6 @@ def _rule_literal_ids(rule) -> FrozenSet[int]:
     return required or _NO_IDS
 
 
-# -- shared automaton cache ----------------------------------------------------
-
-#: process-wide finalized automatons keyed by their literal-id set.  Sweep
-#: workers are reused across points by the process pool, and every
-#: censored-as point rebuilds the same censor/MVR/surveillance rulesets —
-#: without the cache each rebuild pays literal collection and the
-#: alternation compile (the ``multipattern_build`` bench) three times per
-#: point.  The automaton's matching behavior is a pure function of its
-#: literal set, so any two rulesets with the same literals can share one
-#: instance; sharing is safe because scans never mutate a finalized
-#: automaton, and engines that *extend* their ruleset copy-on-write (see
-#: :meth:`RuleEngine.add_rules`).
-_AUTOMATON_CACHE: Dict[Tuple[int, ...], "MultiPatternAutomaton"] = {}
-
-
-def shared_automaton(rules: Iterable) -> "MultiPatternAutomaton":
-    """A process-cached, finalized automaton over ``rules``' literals.
-
-    The cache key is the sorted tuple of interned literal ids the rules
-    require or offer as any-of alternatives — global interning dedupes
-    ``(needle, nocase)`` pairs, so two rulesets with identical literal
-    content map to the same key even if they interned in different orders.  On a miss the automaton is built,
-    finalized immediately (so its version is stable from the first scan),
-    and marked ``shared``; engines must treat a shared instance as
-    immutable and replace it instead of extending it.
-
-    Per-rule caches (``_mp_required``/``_mp_anchor``/``_mp_anyof``) are
-    warmed here even on a hit, because hit-path callers skip
-    :meth:`add_rules`.
-    """
-    rule_list = list(rules)
-    ids: set = set()
-    for rule in rule_list:
-        ids.update(_rule_literal_ids(rule))
-    key = tuple(sorted(ids))
-    automaton = _AUTOMATON_CACHE.get(key)
-    if automaton is None:
-        automaton = MultiPatternAutomaton()
-        automaton.add_rules(rule_list)
-        automaton.ensure_ready()
-        automaton.shared = True
-        _AUTOMATON_CACHE[key] = automaton
-    return automaton
-
-
-def clear_automaton_cache() -> int:
-    """Drop every cached shared automaton; returns how many were cached.
-
-    For tests and long-lived processes that churn through many distinct
-    rulesets — the cache grows one entry per distinct literal set and is
-    otherwise never evicted.
-    """
-    count = len(_AUTOMATON_CACHE)
-    _AUTOMATON_CACHE.clear()
-    return count
-
-
 # -- the automaton -------------------------------------------------------------
 
 
@@ -315,10 +261,6 @@ class MultiPatternAutomaton:
         self.version = 0
         #: every interned id this automaton contains
         self._known_ids: set = set()
-        #: True when this instance lives in the process-wide cache
-        #: (:func:`shared_automaton`) — holders must copy-on-write instead
-        #: of extending it in place.
-        self.shared = False
 
     # -- construction ----------------------------------------------------------
 

@@ -4,8 +4,8 @@ work-stealing execution, deterministic merge.
 The campaign service the ROADMAP's resumable-sweep item asks for:
 :class:`SweepSpec` declares a cartesian grid of scenario parameters
 (and content-hashes it), :class:`CampaignStore` journals every finished
-point to an append-only JSONL checkpoint, :class:`QueuePlanner` /
-:class:`ShardPlanner` plan work-stealing or static dispatch, and
+point to an append-only JSONL checkpoint, :class:`QueuePlanner` orders
+the work-stealing queue, and
 :class:`SweepRunner` executes the grid — serially or on a process pool,
 fresh or resumed from a journal — and folds per-point metrics into one
 snapshot byte-identical to an uninterrupted serial run.  See
@@ -13,18 +13,15 @@ snapshot byte-identical to an uninterrupted serial run.  See
 for the design.
 """
 
-from .runner import DISPATCH_MODES, SweepRunner
-from .shard import QueuePlanner, Shard, ShardPlanner, estimate_cost
+from .runner import SweepRunner
+from .shard import QueuePlanner, estimate_cost
 from .spec import TOPOLOGIES, SweepPoint, SweepSpec, parse_retry_policy
 from .store import CampaignStore
 from .worker import run_point, run_shard
 
 __all__ = [
     "CampaignStore",
-    "DISPATCH_MODES",
     "QueuePlanner",
-    "Shard",
-    "ShardPlanner",
     "SweepPoint",
     "SweepSpec",
     "SweepRunner",

@@ -1,67 +1,30 @@
-"""Dispatch planning: who runs which sweep points, in what order.
+"""Dispatch planning: in what order the work-stealing queue hands out
+sweep points.
 
-Two planners, both pure bookkeeping — no randomness, no load
-measurement — so their layouts are functions of (point list, worker
-count) alone:
-
-- :class:`ShardPlanner` pre-assigns points round-robin by grid index
-  (``points[w::workers]``), the original static dispatch.  Balanced in
-  *count* but blind to *cost*: a shard that drew several high-loss,
-  high-retry points serializes them behind each other while its
-  siblings idle.
-- :class:`QueuePlanner` orders points for a shared queue that workers
-  pull from as they finish — work stealing.  Point costs vary wildly
-  across the grid (a lossy censored-as point with retries simulates
-  orders of magnitude more events than a clean three-node scan), and a
-  pull queue adapts to that skew without measuring anything.  The
-  planner's only job is the *initial* order: most expensive first
-  (longest-processing-time heuristic), so the grid's whales start
-  immediately instead of landing last on an otherwise-drained queue.
+:class:`QueuePlanner` orders points for a shared queue that workers pull
+from as they finish.  Point costs vary wildly across the grid (a lossy
+censored-as point with retries simulates orders of magnitude more events
+than a clean three-node scan), and a pull queue adapts to that skew
+without measuring anything.  The planner is pure bookkeeping — no
+randomness, no load measurement — and its only job is the *initial*
+order: most expensive first (longest-processing-time heuristic), so the
+grid's whales start immediately instead of landing last on an
+otherwise-drained queue.
 
 Because every point carries its own derived seed and workers rebuild
 their simulators from the point parameters alone, *any* assignment of
-points to workers — static shards, stolen queue slots, a resume pass
-running leftovers — produces identical per-point results; dispatch only
-decides wall-clock balance, never outcomes.
+points to workers — stolen queue slots, a resume pass running leftovers
+— produces identical per-point results; dispatch only decides
+wall-clock balance, never outcomes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .spec import SweepPoint, parse_retry_policy
 
-__all__ = ["Shard", "ShardPlanner", "QueuePlanner", "estimate_cost"]
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One worker's slice of the grid."""
-
-    worker_id: int
-    points: Tuple[SweepPoint, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-class ShardPlanner:
-    """Deals sweep points across ``workers`` shards, round-robin."""
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1 (got {workers})")
-        self.workers = workers
-
-    def plan(self, points: Sequence[SweepPoint]) -> List[Shard]:
-        """Shards in worker-id order; empty shards are dropped."""
-        shards = []
-        for worker_id in range(self.workers):
-            assigned = tuple(points[worker_id::self.workers])
-            if assigned:
-                shards.append(Shard(worker_id=worker_id, points=assigned))
-        return shards
+__all__ = ["QueuePlanner", "estimate_cost"]
 
 
 def estimate_cost(point: SweepPoint) -> float:

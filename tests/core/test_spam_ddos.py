@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import DDoSMeasurement, SpamMeasurement, Verdict
 from repro.core.evaluation import build_environment
+from repro.netsim import IndependentLoss
 
 
 class TestSpamMeasurement:
@@ -142,7 +143,7 @@ class TestDDoSUnderLoss:
         env = build_environment(censored=censored, seed=seed, population_size=4)
         for link in env.topo.network.links:
             if link.connects(env.topo.border_router, env.topo.transit_router):
-                link.loss = 0.10
+                link.impair([IndependentLoss(0.10)])
         return env
 
     def test_high_threshold_still_detects_real_censorship(self):

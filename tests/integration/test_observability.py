@@ -113,10 +113,10 @@ class TestConservationCrossCheck:
                 checked += 1
 
         assert checked >= 4  # at least two links, both directions
-        # The path really was hostile, and the drops name their impairment
-        # model — not the flat legacy loss knob.
+        # The path really was hostile, and the drops name the impairment
+        # model that dropped them (the profile's only lossy stage).
         assert total_lost > 0
-        assert reasons and "legacy_loss" not in reasons
+        assert reasons == {"GilbertElliottLoss"}
 
     def test_run_report_folds_all_sections(self):
         topo, registry, _ = instrumented_scan(seed=29, port_count=50, duration=120.0)

@@ -7,6 +7,7 @@ from repro.netsim import (
     Duplication,
     GilbertElliottLoss,
     Host,
+    IndependentLoss,
     LatencyJitter,
     Network,
     Simulator,
@@ -19,20 +20,16 @@ def lossy_pair(loss):
     net = Network(sim)
     a = net.add(Host("a", "10.0.0.1"))
     b = net.add(Host("b", "10.0.0.2"))
-    net.connect(a, b, loss=loss)
+    net.connect(a, b).impair([IndependentLoss(loss)])
     return sim, net, a, b
 
 
 class TestLossyLinks:
     def test_invalid_loss_rejected(self):
-        sim = Simulator()
-        net = Network(sim)
-        a = net.add(Host("a", "10.0.0.1"))
-        b = net.add(Host("b", "10.0.0.2"))
         with pytest.raises(ValueError):
-            net.connect(a, b, loss=1.0)
+            IndependentLoss(1.0)
         with pytest.raises(ValueError):
-            net.connect(a, b, loss=-0.1)
+            IndependentLoss(-0.1)
 
     def test_zero_loss_delivers_everything(self):
         sim, net, a, b = lossy_pair(0.0)

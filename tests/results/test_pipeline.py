@@ -107,7 +107,7 @@ class TestRunnerIntegration:
         serial_path = str(tmp_path / "serial.records.jsonl")
         pool_path = str(tmp_path / "pool.records.jsonl")
         run_sweep(spec, record_path=serial_path, serial=True)
-        run_sweep(spec, record_path=pool_path, workers=2, dispatch="stealing")
+        run_sweep(spec, record_path=pool_path, workers=2)
         assert read_bytes(serial_path) == read_bytes(pool_path)
 
     def test_failed_points_produce_no_rows(self, tmp_path):

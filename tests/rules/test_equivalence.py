@@ -1,17 +1,15 @@
-"""Semantic equivalence of every engine fast path and the naive full scan.
+"""Semantic equivalence of the engine's fast path and the naive full scan.
 
-The dispatch index, MatchContext sharing, the literal prefilters (per-rule
-anchor scan and the ruleset-wide compiled literal search, which also
-filters literal-alternation pcres), and batched evaluation are pure
-optimizations: for any packet trace they must produce
-*identical* alert sequences (same alerts, same order, pass-rule
-suppression intact) to ``RuleEngine(use_index=False, prefilter="none")``,
-which still runs the original rule-by-rule scan.  Two traces exercise
-this: one deterministic hand-built mixed trace (TCP with a keyword split
-across segments, UDP DNS, ICMP, threshold-triggering bursts, pass-rule
-traffic, bidirectional and port-range rules) and one seeded random trace,
-fed through the full cross-product of ``use_index`` × ``prefilter`` ×
-single-packet vs ``process_batch``.
+The dispatch index, MatchContext sharing, the ruleset-wide compiled
+literal prefilter (which also filters literal-alternation pcres), and
+batched evaluation are pure optimizations: for any packet trace they must
+produce *identical* alert sequences (same alerts, same order, pass-rule
+suppression intact) to ``RuleEngine(use_index=False)``, the oracle that
+runs the original rule-by-rule scan.  Two traces exercise this: one
+deterministic hand-built mixed trace (TCP with a keyword split across
+segments, UDP DNS, ICMP, threshold-triggering bursts, pass-rule traffic,
+bidirectional and port-range rules) and one seeded random trace, each
+fed to the fast engine packet by packet and through ``process_batch``.
 """
 
 import random
@@ -263,18 +261,6 @@ def test_indexed_and_naive_paths_emit_identical_alert_sequences(overlap_policy):
         "no threshold/detection rule fired"
 
 
-#: every engine configuration that must be alert-for-alert identical to
-#: the naive reference scan
-ENGINE_CONFIGS = [
-    (True, "multipattern"),
-    (True, "anchor"),
-    (True, "none"),
-    (False, "multipattern"),
-    (False, "anchor"),
-    (False, "none"),
-]
-
-
 def _run_single(engine, trace):
     out = []
     for when, packet in trace:
@@ -297,19 +283,13 @@ def _run_batched(engine, trace, batch_size=7):
 
 @pytest.mark.parametrize("trace_name", ["handbuilt", "random"])
 @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
-@pytest.mark.parametrize("use_index,prefilter", ENGINE_CONFIGS)
-def test_cross_product_equivalence(trace_name, batched, use_index, prefilter):
-    """use_index × prefilter × single-vs-batch: identical alert sequences."""
+def test_cross_product_equivalence(trace_name, batched):
+    """Fast path (single or batched) vs the oracle: identical alert sequences."""
     trace = build_trace() if trace_name == "handbuilt" else build_random_trace()
     reference = RuleEngine.from_text(
-        _ruleset_text(), variables=DEFAULT_VARIABLES,
-        use_index=False, prefilter="none",
+        _ruleset_text(), variables=DEFAULT_VARIABLES, use_index=False,
     )
-    engine = RuleEngine.from_text(
-        _ruleset_text(), variables=DEFAULT_VARIABLES,
-        use_index=use_index, prefilter=prefilter,
-    )
-    assert engine.prefilter == prefilter
+    engine = RuleEngine.from_text(_ruleset_text(), variables=DEFAULT_VARIABLES)
     expected = _run_single(reference, trace)
     got = _run_batched(engine, trace) if batched else _run_single(engine, trace)
     assert [_alert_key(a) for a in got] == [_alert_key(a) for a in expected]

@@ -15,7 +15,8 @@ def _rules(text):
 
 def _candidate_sids(index, packet):
     ctx = MatchContext(packet, None)
-    return [r.sid for r in index.candidates(packet.protocol, ctx.dport, ctx.sport)]
+    bucket = index.lookup(packet.protocol, ctx.dport, ctx.sport)
+    return [r.sid for r in bucket.rules]
 
 
 def _tcp_packet(dport=80, sport=40000, payload=b"x", flags=PSH | ACK):
@@ -157,26 +158,6 @@ def test_match_context_haystack_prefers_stream_buffer():
     assert not alerts
     alerts += engine.process(seg2, 0.2)
     assert [a.sid for a in alerts] == [50]
-
-
-def test_anchor_literal_prefers_longest_non_negated_content():
-    rule = _rules('alert tcp any any -> any 80 '
-                  '(msg:"m"; content:"ab"; content:"longer-literal"; '
-                  'content:!"absent"; sid:60;)')[0]
-    needle, nocase = rule.anchor_literal()
-    assert needle == b"longer-literal"
-    assert nocase is False
-    # No positive contents -> no anchor.
-    neg = _rules('alert tcp any any -> any 80 (msg:"m"; content:!"x"; sid:61;)')[0]
-    assert neg.anchor_literal() is None
-
-
-def test_anchor_literal_nocase_is_lowered():
-    rule = _rules('alert tcp any any -> any 80 '
-                  '(msg:"m"; content:"MiXeD"; nocase; sid:62;)')[0]
-    needle, nocase = rule.anchor_literal()
-    assert needle == b"mixed"
-    assert nocase is True
 
 
 def test_threshold_state_prunes_stale_keys():

@@ -249,7 +249,8 @@ class TestRuleCaches:
     def test_required_ids_and_anchor(self):
         rule = parse_rule(
             'alert tcp any any -> any 80 (msg:"t"; content:"short"; '
-            'content:"a-much-longer-literal"; sid:990001;)'
+            'content:"a-much-longer-literal"; '
+            'content:!"an-even-longer-negated-literal"; sid:990001;)'
         )
         required = required_literal_ids(rule)
         anchor = anchor_literal_id(rule)
@@ -257,10 +258,17 @@ class TestRuleCaches:
             intern_literal(b"short", False),
             intern_literal(b"a-much-longer-literal", False),
         }
+        # the longest *non-negated* content anchors the rule
         assert anchor == intern_literal(b"a-much-longer-literal", False)
         # cached on the rule object (hot path does attribute access only)
         assert rule._mp_required is required
         assert rule._mp_anchor == anchor
+        # a nocase anchor is interned lowered, as a nocase literal
+        mixed = parse_rule(
+            'alert tcp any any -> any 80 (msg:"t"; content:"MiXeD"; nocase; '
+            'sid:990003;)'
+        )
+        assert anchor_literal_id(mixed) == intern_literal(b"mixed", True)
 
     def test_negated_only_rule_has_no_required_ids(self):
         rule = parse_rule(
@@ -278,10 +286,9 @@ class TestStreamRewriteFencing:
         engine has to alert exactly like the naive scan on the new
         content."""
         text = 'alert tcp any any -> any 80 (msg:"evil"; content:"evil"; sid:990010;)'
-        fast = RuleEngine.from_text(text, overlap_policy="last",
-                                    use_index=True, prefilter="multipattern")
+        fast = RuleEngine.from_text(text, overlap_policy="last")
         naive = RuleEngine.from_text(text, overlap_policy="last",
-                                     use_index=False, prefilter="none")
+                                     use_index=False)
         from repro.packets import ACK, IPPacket, PSH, TCPSegment
 
         def seg(payload, seq):
@@ -295,3 +302,60 @@ class TestStreamRewriteFencing:
             assert [a.sid for a in fast.process(packet, when)] == \
                 [a.sid for a in naive.process(packet, when)]
         assert [a.sid for a in fast.alerts] == [990010]
+
+
+def _seg(payload, seq, sport=40000):
+    from repro.packets import ACK, IPPacket, PSH, TCPSegment
+
+    return IPPacket(
+        src="10.0.0.1", dst="10.0.0.2",
+        payload=TCPSegment(sport=sport, dport=80, seq=seq,
+                           flags=PSH | ACK, payload=payload),
+    )
+
+
+class TestEngineAddRules:
+    """Each indexed engine owns its automaton; ``add_rules`` extends it in
+    place, and the version fence makes saved stream scans start over."""
+
+    BASE = 'alert tcp any any -> any 80 (msg:"evil"; content:"evil"; sid:990020;)'
+    EXTRA = ('alert tcp any any -> any 80 '
+             '(msg:"late"; content:"late-needle"; sid:990021;)')
+
+    def test_add_rules_extends_the_private_automaton_in_place(self):
+        engine = RuleEngine.from_text(self.BASE)
+        sibling = RuleEngine.from_text(self.BASE)
+        automaton = engine._mp
+        assert automaton is not sibling._mp
+        known_before = automaton.known_ids()
+        engine.add_rules(self.EXTRA)
+        assert engine._mp is automaton
+        assert automaton.known_ids() == known_before | {
+            intern_literal(b"late-needle", False)
+        }
+        assert sibling._mp.known_ids() == known_before
+        haystack = b"an evil late-needle here"
+        assert automaton.scan(haystack) == automaton.naive_present(haystack)
+
+    def test_saved_stream_state_is_rescanned_after_add_rules(self):
+        engine = RuleEngine.from_text(self.BASE)
+        engine.process(_seg(b"x" * 64, 100), 0.0)
+        flow = next(iter(engine.reassembler.flows.values()))
+        stale = flow.mp_states["c2s"]
+        engine.add_rules(self.EXTRA)
+        assert engine._mp.ensure_ready() > stale.automaton_version
+
+    def test_flow_straddling_add_rules_alerts_like_the_oracle(self):
+        """The new literal sits far before the saved scan end, so only a
+        rescan from byte 0 — not the overlap resume — can find it."""
+        fast = RuleEngine.from_text(self.BASE)
+        oracle = RuleEngine.from_text(self.BASE, use_index=False)
+        first = b"late-needle" + b"." * 200
+        before = _seg(first, 100)
+        after = _seg(b"tail", 100 + len(first))
+        for engine in (fast, oracle):
+            assert engine.process(before, 0.0) == []
+            engine.add_rules(self.EXTRA)
+        fired = [a.sid for a in fast.process(after, 0.1)]
+        assert fired == [a.sid for a in oracle.process(after, 0.1)]
+        assert fired == [990021]

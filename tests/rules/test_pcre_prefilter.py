@@ -25,7 +25,6 @@ from repro.rules.multipattern import (
     intern_literal,
     pcre_literal_alternatives,
     required_literal_ids,
-    shared_automaton,
 )
 
 
@@ -121,15 +120,15 @@ class TestExtractor:
 
 
 class TestAutomaton:
-    def test_alternatives_join_the_automaton_and_cache_key(self):
+    def test_alternatives_join_the_automaton(self):
         rules = [_rule('pcre:"/Zebra|quokka/i";', sid=995101)]
         automaton = MultiPatternAutomaton()
         automaton.add_rules(rules)
         assert automaton.known_ids() == anyof_literal_ids(rules[0])
         assert automaton.scan(b"a QUOKKA here") == {intern_literal(b"quokka", True)}
-        assert shared_automaton(rules).known_ids() == automaton.known_ids()
-        plain = [_rule('pcre:"/Zebra|qu.kka/i";', sid=995102)]
-        assert shared_automaton(plain).known_ids() == frozenset()
+        plain = MultiPatternAutomaton()
+        plain.add_rules([_rule('pcre:"/Zebra|qu.kka/i";', sid=995102)])
+        assert plain.known_ids() == frozenset()
 
 
 class _CountingPcre:
@@ -223,16 +222,6 @@ class TestEngineFilter:
         # ruleset order: spam pcre (995201) before the dsize rule (995203)
         assert [a.sid for a in alerts] == [995201, 995203]
 
-    def test_unindexed_multipattern_branch_filters_too(self):
-        engine = RuleEngine.from_text(SMTP_RULES, use_index=False, prefilter="multipattern")
-        naive = RuleEngine.from_text(SMTP_RULES, use_index=False)
-        spy = _CountingPcre(engine.rule_by_sid(995201).pcres[0])
-        engine.rule_by_sid(995201).pcres[0] = spy
-        trace = _smtp_trace([b"HELO x\r\n", b"nothing to see\r\n", b"a casino? no, WINNER\r\n"])
-        for when, packet in trace:
-            assert _keys(engine.process(packet, when)) == _keys(naive.process(packet, when))
-        assert spy.calls == 1
-
     def test_oracle_runs_every_pcre(self):
         _fast, naive, (_fast_spy, naive_spy) = self._engines()
         trace = _smtp_trace([b"a\r\n", b"b\r\n", b"c\r\n"])
@@ -240,13 +229,10 @@ class TestEngineFilter:
             naive.process(packet, when)
         assert naive_spy.calls == 3
 
-    @pytest.mark.parametrize("use_index", [True, False])
-    def test_prefilter_skip_counter_counts_content_rules_only(self, use_index):
+    def test_prefilter_skip_counter_counts_content_rules_only(self):
         registry = MetricsRegistry()
         with use_registry(registry):
-            engine = RuleEngine.from_text(
-                SMTP_RULES, use_index=use_index, prefilter="multipattern"
-            )
+            engine = RuleEngine.from_text(SMTP_RULES)
         trace = _smtp_trace([b"HELO x\r\n", b"no spam here\r\n"])
         for when, packet in trace:
             engine.process(packet, when)
@@ -346,16 +332,13 @@ def _property_trace(streams, datagrams):
 
 def _engine_pair():
     reference = RuleEngine.from_text(PROPERTY_RULES, use_index=False)
-    assert reference.prefilter == "none"
     fast = RuleEngine.from_text(PROPERTY_RULES)
-    unindexed = RuleEngine.from_text(PROPERTY_RULES, use_index=False,
-                                     prefilter="multipattern")
-    return reference, fast, unindexed
+    return reference, fast
 
 
 class TestEquivalence:
     def test_property_ruleset_filters_what_it_should(self):
-        _reference, fast, _unindexed = _engine_pair()
+        _reference, fast = _engine_pair()
         filterable = {rule.sid for rule in fast.rules if rule._mp_anyof is not None}
         assert filterable == {996001, 996002, 996011, 996012}
 
@@ -363,18 +346,17 @@ class TestEquivalence:
     @given(st.lists(stream_cuts(), min_size=1, max_size=3),
            st.lists(spliced_haystacks(), max_size=6))
     def test_alerts_equal_reference_scan(self, streams, datagrams):
-        reference, fast, unindexed = _engine_pair()
+        reference, fast = _engine_pair()
         for when, packet in _property_trace(streams, datagrams):
             expected = _keys(reference.process(packet, when))
             assert _keys(fast.process(packet, when)) == expected
-            assert _keys(unindexed.process(packet, when)) == expected
         assert _keys(fast.alerts) == _keys(reference.alerts)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(stream_cuts(), min_size=1, max_size=3),
            st.lists(spliced_haystacks(), max_size=6))
     def test_batched_alerts_equal_reference_scan(self, streams, datagrams):
-        reference, fast, _unindexed = _engine_pair()
+        reference, fast = _engine_pair()
         trace = _property_trace(streams, datagrams)
         expected = [_keys(reference.process(packet, when)) for when, packet in trace]
         got = fast.process_batch([p for _w, p in trace], [w for w, _p in trace])
@@ -383,7 +365,7 @@ class TestEquivalence:
     def test_spliced_alternatives_fire_on_both_protocols(self):
         """The property's traces reach the filtered rules (a fixed example,
         so the property cannot pass by never matching)."""
-        reference, fast, _unindexed = _engine_pair()
+        reference, fast = _engine_pair()
         # "caSINO" misses the case-sensitive rule; "cas|ino" across a cut hits
         streams = [[b"xx vIA", b"GRA yy caSINO cas", b"ino"]]
         # datagrams 0 and 3 share a source: the threshold (count 2) trips

@@ -128,8 +128,7 @@ class TestStarvationRegression:
         spec = population_spec(populations=(900, 0, 0, 0), duration=20.0)
         store = CampaignStore(str(tmp_path / "pop.journal.jsonl"),
                               spec.content_hash())
-        report = SweepRunner(spec, workers=2, dispatch="stealing",
-                             store=store).run()
+        report = SweepRunner(spec, workers=2, store=store).run()
         store.close()
 
         with open(store.path, "r", encoding="utf-8") as fh:
@@ -158,7 +157,6 @@ class TestDispatchDeterminism:
     def serial_reference(self, spec):
         return canonical(SweepRunner(spec, serial=True).run())
 
-    @pytest.mark.parametrize("dispatch", ["round-robin", "stealing"])
-    def test_workers2_byte_identical(self, spec, serial_reference, dispatch):
-        report = SweepRunner(spec, workers=2, dispatch=dispatch).run()
+    def test_workers2_byte_identical(self, spec, serial_reference):
+        report = SweepRunner(spec, workers=2).run()
         assert canonical(report) == serial_reference

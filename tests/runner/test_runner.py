@@ -181,9 +181,9 @@ class TestQueuePlanner:
 
 
 class TestDispatchDeterminism:
-    """Serial, round-robin shards, and work stealing — at any worker
-    count — must all produce byte-identical reports, even on a grid with
-    artificially skewed point costs."""
+    """Serial runs and work-stealing pools at any worker count must all
+    produce byte-identical reports, even on a grid with artificially
+    skewed point costs."""
 
     @pytest.fixture(scope="class")
     def skewed_spec(self):
@@ -197,11 +197,9 @@ class TestDispatchDeterminism:
         return canonical(SweepRunner(skewed_spec, serial=True).run())
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("dispatch", ["round-robin", "stealing"])
     def test_all_modes_byte_identical(self, skewed_spec, serial_reference,
-                                      workers, dispatch):
-        report = SweepRunner(skewed_spec, workers=workers,
-                             dispatch=dispatch).run()
+                                      workers):
+        report = SweepRunner(skewed_spec, workers=workers).run()
         assert canonical(report) == serial_reference
 
 
@@ -223,8 +221,7 @@ class TestStarvation:
                           duration=30.0, inject_delays={0: 0.6})
         store = CampaignStore(str(tmp_path / "whale.journal.jsonl"),
                               spec.content_hash())
-        report = SweepRunner(spec, workers=2, dispatch="stealing",
-                             store=store).run()
+        report = SweepRunner(spec, workers=2, store=store).run()
         store.close()
 
         with open(store.path, "r", encoding="utf-8") as fh:
@@ -252,8 +249,7 @@ class TestUnpicklableResult:
                           inject_failures={1: "unpicklable"})
 
     def test_failed_record_names_the_offending_point(self, poisoned_spec):
-        report = SweepRunner(poisoned_spec, workers=2,
-                             dispatch="stealing").run()
+        report = SweepRunner(poisoned_spec, workers=2).run()
         assert report["summary"]["failed_points"] == [1]
         failed = report["points"][1]
         assert failed["status"] == "failed"
@@ -266,12 +262,8 @@ class TestUnpicklableResult:
 
     def test_error_record_identical_across_modes(self, poisoned_spec):
         serial = SweepRunner(poisoned_spec, serial=True).run()
-        stealing = SweepRunner(poisoned_spec, workers=2,
-                               dispatch="stealing").run()
-        round_robin = SweepRunner(poisoned_spec, workers=2,
-                                  dispatch="round-robin").run()
-        assert canonical(serial) == canonical(stealing)
-        assert canonical(serial) == canonical(round_robin)
+        pooled = SweepRunner(poisoned_spec, workers=2).run()
+        assert canonical(serial) == canonical(pooled)
 
 
 class TestCrashIsolation:
